@@ -10,7 +10,7 @@ import (
 
 // PoolOwn tracks pooled-buffer ownership through the CFG. The World's
 // buffer pool hands out slices under a strict protocol — Recv/Scratch
-// return a buffer the caller owns, Release/sendOwned end that
+// return a buffer the caller owns, Release/SendOwned end that
 // ownership, and touching a buffer afterwards aliases memory the pool
 // may already have handed to another rank. The analyzer runs a forward
 // may-dataflow over each function body: every variable assigned from
@@ -25,11 +25,11 @@ import (
 //   - storing an owned buffer into a field, global, slice/map element,
 //     channel send, or composite literal (ownership escapes the
 //     tracking horizon — annotate where the transfer is intentional),
-//   - sendOwned of a buffer the caller no longer owns.
+//   - SendOwned of a buffer the caller no longer owns.
 //
 // Acquire/release seeds are the comm.Proc API (Recv, RecvMeta,
 // Scratch, ScratchMeta, SendRecv, SendRecvMeta / Release, ReleaseMeta,
-// sendOwned) and the pool fast paths (bufPool.getF32/getF64 /
+// SendOwned) and the pool fast paths (bufPool.getF32/getF64 /
 // putF32/putF64), plus package-local helpers inferred to return an
 // owned buffer: a function whose single []float32/[]float64 result is,
 // on every return path, a freshly acquired or still-owned buffer
@@ -190,7 +190,7 @@ func (a *poolOwnPkg) seedEffect(call *ast.CallExpr) (poolEffect, bool) {
 			return poolEffect{kind: effAcquire}, true
 		case "Release", "ReleaseMeta":
 			return poolEffect{kind: effRelease, arg: 0}, true
-		case "sendOwned":
+		case "SendOwned":
 			return poolEffect{kind: effMove, arg: 1}, true
 		}
 	case "bufPool":
@@ -591,7 +591,7 @@ func (f *poolFn) seedCall(call *ast.CallExpr, st ownState, rep reporter, stmtLev
 		if v := f.trackedVar(arg, st); v != nil {
 			bits := st[v]
 			if bits&ownOwned == 0 && rep != nil {
-				rep(call.Pos(), "sendOwned of %s, which the caller no longer owns, in %s", v.Name(), f.fnName)
+				rep(call.Pos(), "SendOwned of %s, which the caller no longer owns, in %s", v.Name(), f.fnName)
 			}
 			st[v] = bits&ownDeferred | ownMoved
 			return true

@@ -23,7 +23,7 @@ type Proc struct {
 func (p *Proc) Recv(src int) []float32           { return p.world.pool.getF32(p.rank, 8) }
 func (p *Proc) Scratch(n int) []float32          { return p.world.pool.getF32(p.rank, n) }
 func (p *Proc) Release(buf []float32)            { p.world.pool.putF32(p.rank, buf) }
-func (p *Proc) sendOwned(dst int, buf []float32) {}
+func (p *Proc) SendOwned(dst int, buf []float32) {}
 
 var sink []float32
 
@@ -81,7 +81,7 @@ func releaseOnEveryPath(p *Proc, cond bool) {
 		p.Release(buf)
 		return
 	}
-	p.sendOwned(1, buf)
+	p.SendOwned(1, buf)
 }
 
 // --- defect shape 4: ownership escaping into fields and globals ---
@@ -102,13 +102,33 @@ func storeComposite(p *Proc) envelope {
 	return envelope{data: buf} // want `pooled buffer buf stored into composite literal \(escapes ownership tracking\) in storeComposite`
 }
 
-// --- defect shape 5: sendOwned of a buffer the caller no longer owns ---
+// --- defect shape 5: SendOwned of a buffer the caller no longer owns ---
 
 func sendUnowned(p *Proc) {
 	buf := p.Recv(4)
 	p.Release(buf)
-	p.sendOwned(1, buf) // want `sendOwned of buf, which the caller no longer owns, in sendUnowned`
+	p.SendOwned(1, buf) // want `SendOwned of buf, which the caller no longer owns, in sendUnowned`
 }
+
+// encodeAndSend is the encoded-hop shape a codec layer builds on the
+// public API: wire words drawn from Scratch, filled, then handed over.
+// SendOwned ends ownership on the only path: no findings.
+func encodeAndSend(p *Proc, x []float32) {
+	wire := p.Scratch(len(x))
+	copy(wire, x)
+	p.SendOwned(1, wire)
+}
+
+func encodeAfterSend(p *Proc, x []float32) {
+	wire := p.Scratch(len(x))
+	p.SendOwned(1, wire)
+	copy(wire, x) // want `use of wire after ownership transfer in encodeAfterSend`
+}
+
+func encodeWithoutSend(p *Proc, x []float32) {
+	wire := p.Scratch(len(x))
+	copy(wire, x)
+} // want `pooled buffer wire may leak: still owned at return in encodeWithoutSend`
 
 // --- secondary shapes: overwrite and dropped result ---
 

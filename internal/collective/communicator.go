@@ -12,7 +12,7 @@ import (
 // Strategy selects the algorithm family a Communicator's collectives
 // run. It is the one knob that used to be spread across three enums
 // (the per-bucket overlap.Algo, the trainer's BucketAlgo mirror, and
-// the implicit power-of-two/linear dispatch inside core.Allreduce).
+// the implicit power-of-two/linear dispatch of the former core.Allreduce).
 //
 // Each collective honors the strategies that make sense for it and
 // resolves the rest deterministically:
@@ -85,9 +85,7 @@ type commShared struct {
 	group    Group
 	pos      map[int]int // world rank -> group position, O(1) lookups
 	strategy Strategy
-	comp     compress.Compression // the original knob, for Split inheritance
-	codec    compress.Codec       // static codec; nil when uncompressed or adaptive
-	policy   compress.Policy      // policy prototype; nil when static
+	comp     compress.Compression // the knob, for Fork and Split inheritance
 }
 
 // Communicator is an MPI/NCCL-style communicator: a comm.Proc endpoint
@@ -136,27 +134,30 @@ func New(p *comm.Proc, g Group, cfg Config) *Communicator {
 	if !ok {
 		panic(fmt.Sprintf("collective: rank %d not in group %v", p.Rank(), grp))
 	}
-	codec, pol := compress.Resolve(cfg.Compression)
 	c := &Communicator{
-		shared: &commShared{
-			group: grp, pos: pos, strategy: cfg.Strategy,
-			comp: cfg.Compression, codec: codec, policy: pol,
-		},
-		p:     p,
-		mypos: mypos,
+		shared: &commShared{group: grp, pos: pos, strategy: cfg.Strategy, comp: cfg.Compression},
+		p:      p,
+		mypos:  mypos,
 	}
+	c.stream, c.policy = newCompression(cfg.Compression)
+	return c
+}
+
+// newCompression mints one communicator instance's compression state
+// for the knob: its stream (nil when uncompressed) and, when adaptive, a
+// fresh-state fork of the policy. An adaptive stream starts on the
+// identity codec and is re-pointed per launch (Stream().SetCodec) from
+// the policy's decisions; its error-feedback residuals persist across
+// codec swaps because site lengths are codec-independent.
+func newCompression(comp compress.Compression) (*compress.Stream, compress.Policy) {
+	codec, pol := compress.Resolve(comp)
 	switch {
 	case pol != nil:
-		// Adaptive: the stream starts on the identity codec and is
-		// re-pointed per launch (Stream().SetCodec) from the policy's
-		// decisions; its error-feedback residuals persist across codec
-		// swaps because site lengths are codec-independent.
-		c.policy = pol.Fork()
-		c.stream = compress.NewStream(compress.None())
+		return compress.NewStream(pol), pol.Fork()
 	case codec != nil:
-		c.stream = compress.NewStream(codec)
+		return compress.NewStream(codec), nil
 	}
-	return c
+	return nil, nil
 }
 
 // Proc returns the bound endpoint.
@@ -174,10 +175,6 @@ func (c *Communicator) Rank() int { return c.mypos }
 
 // Strategy returns the configured algorithm family.
 func (c *Communicator) Strategy() Strategy { return c.shared.strategy }
-
-// Codec returns the static wire codec, or nil when the communicator is
-// uncompressed or adaptive (see Policy).
-func (c *Communicator) Codec() compress.Codec { return c.shared.codec }
 
 // Policy returns this communicator instance's compression policy (its
 // own fork, carrying per-slot decision state), or nil when the
@@ -228,13 +225,7 @@ func (c *Communicator) OnProc(p *comm.Proc) *Communicator {
 // bucket.
 func (c *Communicator) Fork() *Communicator {
 	f := &Communicator{shared: c.shared, p: c.p, mypos: c.mypos}
-	switch {
-	case c.shared.policy != nil:
-		f.policy = c.shared.policy.Fork()
-		f.stream = compress.NewStream(compress.None())
-	case c.shared.codec != nil:
-		f.stream = compress.NewStream(c.shared.codec)
-	}
+	f.stream, f.policy = newCompression(c.shared.comp)
 	return f
 }
 
@@ -320,27 +311,29 @@ func (c *Communicator) Split(color, key int) *Communicator {
 }
 
 // ---------------------------------------------------------------------
-// Codec-aware transport: the one place plain, statically compressed and
-// adaptive traffic diverge. Every collective is written once against
-// these three helpers; with a nil stream they are exactly the pre-codec
-// calls, so the uncompressed paths stay bitwise- and clock-identical,
-// and with a static codec the headerless pre-policy wire format is
-// preserved byte for byte. Only an adaptive communicator pays the one
-// self-describing header word per payload.
+// Codec-aware transport: the one place the collectives decide whether a
+// payload is encoded. Every collective is written once against these
+// helpers. With a nil stream they are exactly the plain Send/Recv/
+// RecvInto calls, so the uncompressed paths stay bitwise- and
+// clock-identical. Otherwise the stream's wire format applies
+// (headerless for a static codec, self-describing for a policy), and
+// the encode and decode passes are charged as MemCopy over the
+// uncompressed bytes: the encode before departure, the decode after
+// arrival.
 
 // send ships x to world rank dst, encoding through the communicator's
 // stream when compression is configured.
 //
 //adasum:noalloc
 func (c *Communicator) send(dst int, x []float32) {
-	switch {
-	case c.stream == nil:
+	if c.stream == nil {
 		c.p.Send(dst, x)
-	case c.policy != nil:
-		c.p.SendAdaptive(dst, x, c.stream)
-	default:
-		c.p.SendCompressed(dst, x, c.stream)
+		return
 	}
+	wire := c.p.Scratch(c.stream.WireLen(len(x)))
+	c.stream.EncodeWire(wire, x)
+	c.p.ComputeMemCopy(int64(len(x)) * 4)
+	c.p.SendOwned(dst, wire)
 }
 
 // recvNew receives an n-element payload from world rank src into a
@@ -352,11 +345,7 @@ func (c *Communicator) recvNew(src, n int) []float32 {
 		return c.p.Recv(src)
 	}
 	buf := c.p.Scratch(n)
-	if c.policy != nil {
-		c.p.RecvAdaptive(src, buf)
-	} else {
-		c.p.RecvCompressed(src, c.shared.codec, buf)
-	}
+	c.recvInto(src, buf)
 	return buf
 }
 
@@ -364,14 +353,14 @@ func (c *Communicator) recvNew(src, n int) []float32 {
 //
 //adasum:noalloc
 func (c *Communicator) recvInto(src int, dst []float32) {
-	switch {
-	case c.stream == nil:
+	if c.stream == nil {
 		c.p.RecvInto(src, dst)
-	case c.policy != nil:
-		c.p.RecvAdaptive(src, dst)
-	default:
-		c.p.RecvCompressed(src, c.shared.codec, dst)
+		return
 	}
+	wire := c.p.Recv(src)
+	c.stream.DecodeWire(dst, wire)
+	c.p.Release(wire)
+	c.p.ComputeMemCopy(int64(len(dst)) * 4)
 }
 
 // ---------------------------------------------------------------------

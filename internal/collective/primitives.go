@@ -80,10 +80,8 @@ func (c *Communicator) BroadcastInto(root int, dst, src []float32) {
 
 // Gather collects every member's vector at group position root. All
 // vectors must have the same length. Only the root's return value is
-// meaningful; it holds the vectors indexed by group rank. The root's
-// rows are freshly allocated for the uncompressed case only in the
-// sense that transport buffers are handed to the caller — steady-state
-// callers use GatherInto.
+// meaningful; it holds freshly allocated copies of the vectors indexed
+// by group rank. Steady-state callers use GatherInto.
 func (c *Communicator) Gather(root int, x []float32) [][]float32 {
 	g := c.shared.group
 	if c.mypos != root {
@@ -92,21 +90,12 @@ func (c *Communicator) Gather(root int, x []float32) [][]float32 {
 	}
 	out := make([][]float32, len(g))
 	for i := range g {
-		if i == root {
-			out[i] = append([]float32(nil), x...)
-			continue
-		}
-		if c.stream == nil {
-			//adasum:poolown ok Gather returns the received rows to its caller, who owns the result
-			out[i] = c.p.Recv(g[i])
-			continue
-		}
 		out[i] = make([]float32, len(x))
-		if c.policy != nil {
-			c.p.RecvAdaptive(g[i], out[i])
-		} else {
-			c.p.RecvCompressed(g[i], c.shared.codec, out[i])
+		if i == root {
+			copy(out[i], x)
+			continue
 		}
+		c.recvInto(g[i], out[i])
 	}
 	return out
 }

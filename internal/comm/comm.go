@@ -39,12 +39,13 @@
 // caller may reuse its slice immediately after Send) and the
 // virtual-clock accounting are unchanged by pooling.
 //
-// Compressed payloads ride the same substrate: SendCompressed encodes a
-// vector into wire words through a compress.Stream and transmits only
-// those, so the transfer cost, the pooled transport buffer and the
-// World's wire-byte meter all see the compressed size; RecvCompressed
-// decodes on arrival. Encode/decode passes are charged as MemCopy over
-// the uncompressed bytes.
+// The substrate moves words and knows nothing about what they encode.
+// A compressed gradient reaches it as wire words the layer above built
+// in a Scratch buffer and handed over with SendOwned, so the transfer
+// cost and the wire-byte meter see the compressed size; the codec, the
+// wire format and the encode/decode charges belong to that layer
+// (compress.Stream and collective.Communicator). Keeping comm
+// codec-agnostic is what lets another transport replace it.
 //
 // Ranks can die — by their own panic or an injected fail-at-virtual-
 // time deadline (simnet.Faults) — and the substrate fails fast instead
@@ -58,7 +59,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/compress"
 	"repro/internal/simnet"
 )
 
@@ -605,12 +605,14 @@ func (p *Proc) deliver(dst int, msg message) {
 	}
 }
 
-// sendOwned transmits a pool-owned buffer without the defensive copy;
-// ownership moves to the receiver (who recycles it via Recv/Release as
-// usual), so the caller must not touch buf afterwards.
+// SendOwned transmits a pool-owned buffer (from Scratch or Recv)
+// without Send's defensive copy; ownership moves to the receiver, who
+// recycles it via Recv/Release as usual, so the caller must not touch
+// buf afterwards. Layers that build a payload in a pooled buffer — the
+// wire words of an encoded gradient — hand it over this way.
 //
 //adasum:noalloc
-func (p *Proc) sendOwned(dst int, buf []float32) {
+func (p *Proc) SendOwned(dst int, buf []float32) {
 	if dst == p.rank {
 		panic("comm: send to self")
 	}
@@ -621,87 +623,6 @@ func (p *Proc) sendOwned(dst int, buf []float32) {
 	p.netSec += cost
 	p.netBytes += nb
 	p.deliver(dst, message{data: buf, arrival: p.clock + cost})
-}
-
-// SendCompressed encodes data through st and transmits only the wire
-// words: the virtual clock's transfer cost, the wire-byte meter and the
-// pooled transport buffer all see the compressed payload, which is how
-// on-the-wire compression earns its simulated speedup. The encode pass
-// is charged to the sender as a MemCopy over the uncompressed bytes. st
-// carries the codec and, for error-feedback codecs, the per-site
-// residual state; a None stream degrades to a plain Send so the
-// uncompressed paths stay bitwise- and clock-identical.
-//
-//adasum:noalloc
-func (p *Proc) SendCompressed(dst int, data []float32, st *compress.Stream) {
-	if st == nil || compress.IsNone(st.Codec()) {
-		p.Send(dst, data)
-		return
-	}
-	c := st.Codec()
-	//adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length
-	enc := p.world.pool.getF32(p.rank, c.EncodedLen(len(data)))
-	st.Encode(enc, data)
-	p.ComputeMemCopy(int64(len(data)) * 4)
-	p.sendOwned(dst, enc)
-}
-
-// RecvCompressed receives a compressed payload from src and decodes it
-// into dst, the caller's full-size destination, advancing the clock to
-// the arrival time and charging the decode pass as a MemCopy over the
-// uncompressed bytes. With a None codec (or nil) it degrades to
-// RecvInto.
-//
-//adasum:noalloc
-func (p *Proc) RecvCompressed(src int, c compress.Codec, dst []float32) {
-	if compress.IsNone(c) {
-		p.RecvInto(src, dst)
-		return
-	}
-	enc, _ := p.recv(src)
-	//adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length
-	if len(enc) != c.EncodedLen(len(dst)) {
-		panic(fmt.Sprintf("comm: RecvCompressed payload %d words, want %d for %d floats",
-			len(enc), c.EncodedLen(len(dst)), len(dst)))
-	}
-	//adasum:dyncall ok codec Decode implementations are noalloc-marked in compress
-	c.Decode(dst, enc)
-	p.world.pool.putF32(p.rank, enc)
-	p.ComputeMemCopy(int64(len(dst)) * 4)
-}
-
-// SendAdaptive encodes data through st's current codec and transmits a
-// self-describing payload: one header word naming the codec, then the
-// wire words. This is the transport of adaptive compression policies,
-// where ranks may legitimately select different codecs for the same
-// logical exchange (their error-feedback residuals differ) and the
-// receiver must decode whatever actually arrived. The header word rides
-// as payload — it is charged to the transfer cost and the wire meter
-// like any other word — and the encode pass is charged as a MemCopy
-// over the uncompressed bytes (the identity codec included: adaptive
-// mode always materializes a wire buffer).
-//
-//adasum:noalloc
-func (p *Proc) SendAdaptive(dst int, data []float32, st *compress.Stream) {
-	c := st.Codec()
-	enc := p.world.pool.getF32(p.rank, compress.WireWords(c, len(data)))
-	enc[0] = compress.HeaderWord(c)
-	st.Encode(enc[1:], data)
-	p.ComputeMemCopy(int64(len(data)) * 4)
-	p.sendOwned(dst, enc)
-}
-
-// RecvAdaptive receives a self-describing payload from src and decodes
-// it into dst under the codec its header names, advancing the clock to
-// the arrival time and charging the decode pass as a MemCopy over the
-// uncompressed bytes.
-//
-//adasum:noalloc
-func (p *Proc) RecvAdaptive(src int, dst []float32) {
-	enc, _ := p.recv(src)
-	compress.DecodeFromWire(dst, enc)
-	p.world.pool.putF32(p.rank, enc)
-	p.ComputeMemCopy(int64(len(dst)) * 4)
 }
 
 // SendCtl transmits a control-plane payload to dst. Control traffic is

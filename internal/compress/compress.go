@@ -7,16 +7,20 @@
 //
 // A Codec packs float32 payloads into float32 *wire words* (bit patterns,
 // never used arithmetically), so compressed payloads travel through the
-// existing comm substrate unchanged: the pooled defensive copy, the
-// alpha-beta transfer cost and the wire-byte accounting all see the
-// compressed length. EncodedLen is deterministic in the payload length,
-// so a receiver that knows the uncompressed vector size needs no header
-// to decode.
+// comm substrate as ordinary words: the alpha-beta transfer cost and the
+// wire-byte accounting see the compressed length, and comm itself knows
+// nothing about codecs. EncodedLen is deterministic in the payload
+// length, so a receiver that knows the uncompressed vector size needs no
+// header to decode.
 //
 // Codecs are stateless values, safe to share across ranks. Per-rank state
 // — the selection workspace and, for error-feedback codecs, the residual
 // carried across steps at every encode site — lives in a Stream, owned by
-// exactly one rank's bucket slot and reused step over step.
+// exactly one rank's bucket slot and reused step over step. The Stream
+// also owns the wire format: WireLen/EncodeWire/DecodeWire produce
+// headerless payloads for a static codec and self-describing ones (one
+// header word naming the codec) for a Policy, whose ranks may pick
+// different codecs for the same exchange.
 package compress
 
 import (
@@ -70,11 +74,6 @@ type Codec interface {
 	ErrorFeedback() bool
 }
 
-// IsNone reports whether c is absent or the identity codec — the
-// configurations that must leave the communication paths bitwise (and
-// virtual-clock) identical to the uncompressed substrate.
-func IsNone(c Codec) bool { return c == nil || c.Kind() == KindNone } //adasum:dyncall ok Kind implementations return constants
-
 // Workspace is reusable scratch for Encode calls (top-k selection). It
 // must not be shared between goroutines.
 type Workspace struct {
@@ -101,9 +100,9 @@ func (ws *Workspace) idxBuf(n int) []int {
 type noneCodec struct{}
 
 // None returns the identity codec. It exists so sweeps and configuration
-// tables can name "no compression" uniformly; the comm/collective/
-// overlap layers special-case it (via IsNone) onto the exact
-// uncompressed code paths.
+// tables can name "no compression" uniformly; Resolve maps it onto the
+// exact uncompressed code paths, which must stay bitwise (and
+// virtual-clock) identical to a nil knob.
 func None() Codec { return noneCodec{} }
 
 func (noneCodec) Kind() Kind           { return KindNone }
@@ -493,15 +492,29 @@ type Stream struct {
 	eff   []float32   // src+residual working vector
 	dec   []float32   // decode scratch for the residual update
 	enc   []float32   // wire-word scratch for Quantize
+
+	// selfDescribing marks a policy-driven stream: its codec changes per
+	// launch, so every wire payload leads with a header word naming it.
+	selfDescribing bool
 }
 
-// NewStream creates compression state for one communication stream of
-// the given codec.
-func NewStream(c Codec) *Stream {
-	if c == nil {
-		panic("compress: NewStream requires a codec")
+// NewStream creates compression state for one communication stream
+// configured by comp, and with it the stream's wire format. A Codec
+// gives a static stream whose payloads are headerless: both ends know
+// the codec. A Policy gives a self-describing stream: it starts on the
+// identity codec, the policy re-points it per launch (SetCodec), and
+// every payload leads with one header word naming the codec it was
+// encoded under, because ranks may decide differently for the same
+// exchange (their residuals differ).
+func NewStream(comp Compression) *Stream {
+	switch c := comp.(type) {
+	case Codec:
+		return &Stream{codec: c}
+	case Policy:
+		return &Stream{codec: None(), selfDescribing: true}
+	default:
+		panic(fmt.Sprintf("compress: NewStream requires a Codec or a Policy (got %T)", comp))
 	}
-	return &Stream{codec: c}
 }
 
 // Codec returns the stream's codec.
@@ -568,6 +581,55 @@ func (s *Stream) Encode(dst, src []float32) {
 	for i := range r {
 		r[i] = eff[i] - dec[i]
 	}
+}
+
+// WireLen returns the number of wire words an n-element payload
+// occupies on this stream: the codec's encoded words, plus the header
+// word when the stream is self-describing.
+//
+//adasum:noalloc
+func (s *Stream) WireLen(n int) int {
+	//adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length
+	n = s.codec.EncodedLen(n)
+	if s.selfDescribing {
+		n++
+	}
+	return n
+}
+
+// EncodeWire encodes src into dst, which must have length
+// WireLen(len(src)), through Encode (error feedback included). A
+// self-describing stream first writes the header word naming its
+// current codec.
+//
+//adasum:noalloc
+func (s *Stream) EncodeWire(dst, src []float32) {
+	if s.selfDescribing {
+		dst[0] = headerWord(s.codec)
+		dst = dst[1:]
+	}
+	s.Encode(dst, src)
+}
+
+// DecodeWire decodes a payload a peer produced with EncodeWire on a
+// stream of the same configuration into the n-element dst. A headerless
+// payload decodes under this stream's codec and must be exactly
+// EncodedLen(len(dst)) words; a self-describing one decodes under
+// whatever codec its header names. Mismatches panic: the wire is
+// in-process and deterministic, so they are programming errors.
+//
+//adasum:noalloc
+func (s *Stream) DecodeWire(dst, wire []float32) {
+	if s.selfDescribing {
+		decodeFromWire(dst, wire)
+		return
+	}
+	//adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length
+	if want := s.codec.EncodedLen(len(dst)); len(wire) != want {
+		panic(fmt.Sprintf("compress: payload %d words, want %d for %d floats", len(wire), want, len(dst)))
+	}
+	//adasum:dyncall ok codec Decode implementations are noalloc-marked in this package
+	s.codec.Decode(dst, wire)
 }
 
 // Quantize applies the codec's loss to x in place — decode(encode(x)),

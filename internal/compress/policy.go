@@ -23,9 +23,9 @@ import (
 // checkpoint (Snapshot/Restore) like the error-feedback residuals do.
 //
 // Ranks may still decide differently from each other (residuals are
-// genuinely rank-private), so adaptive payloads are self-describing:
-// one header word names the sender's codec and the receiver decodes
-// whatever arrived (HeaderWord/DecodeFromWire). Static-codec
+// genuinely rank-private), so a policy's Stream is self-describing: one
+// header word names the sender's codec and the receiver decodes
+// whatever arrived (Stream.EncodeWire/DecodeWire). Static-codec
 // configurations keep the exact headerless protocol.
 
 // Compression is the unified compression knob shared by
@@ -47,7 +47,7 @@ func Resolve(comp Compression) (Codec, Policy) {
 	case nil:
 		return nil, nil
 	case Codec:
-		if IsNone(c) {
+		if c.Kind() == KindNone {
 			return nil, nil
 		}
 		return c, nil
@@ -348,18 +348,15 @@ func b2f(b bool) float64 {
 
 // ---------------------------------------------------- self-describing wire
 
-// Adaptive payloads are self-describing: ranks may legitimately decide
-// different codecs for the same logical bucket (their residuals
-// differ), so the receiver cannot assume its own configuration. One
-// header word carries the codec kind in the top byte and the codec's
+// A self-describing payload (a policy Stream's wire format) leads with
+// one header word: the codec kind in the top byte and the codec's
 // parameter (int8's block size) in the low 24 bits; top-k's k is
 // implied by the payload length (2k words) and fp16/none need nothing.
 
 const headerParamMax = 1<<24 - 1
 
-// HeaderWord encodes c's identity into one wire word for a
-// self-describing payload.
-func HeaderWord(c Codec) float32 {
+// headerWord encodes c's identity into one wire word.
+func headerWord(c Codec) float32 {
 	param := 0
 	switch cc := c.(type) {
 	case int8Codec:
@@ -372,11 +369,9 @@ func HeaderWord(c Codec) float32 {
 	return math.Float32frombits(uint32(c.Kind())<<24 | uint32(param))
 }
 
-// DecodeFromWire decodes a self-describing payload — wire[0] the header
+// decodeFromWire decodes a self-describing payload — wire[0] the header
 // word, the rest the encoded words — into the n-element destination.
-// Malformed headers or length mismatches panic: the wire is in-process
-// and deterministic, so they are programming errors, not input errors.
-func DecodeFromWire(dst, wire []float32) {
+func decodeFromWire(dst, wire []float32) {
 	if len(wire) < 1 {
 		panic("compress: self-describing payload has no header word")
 	}
@@ -403,7 +398,3 @@ func DecodeFromWire(dst, wire []float32) {
 		panic(fmt.Sprintf("compress: unknown codec kind %d in wire header", kind))
 	}
 }
-
-// WireWords returns the self-describing wire length of an n-element
-// payload under c: the header word plus the encoded words.
-func WireWords(c Codec, n int) int { return 1 + c.EncodedLen(n) } //adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length

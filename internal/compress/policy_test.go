@@ -169,12 +169,18 @@ func TestSelfDescribingWireRoundTrip(t *testing.T) {
 		src[i] = rng.Float32()*2 - 1
 	}
 	for _, c := range []Codec{None(), FP16(), Int8(0), Int8(64), TopKCount(13, true)} {
-		wire := make([]float32, WireWords(c, n))
-		wire[0] = HeaderWord(c)
-		var ws Workspace
-		c.Encode(wire[1:], src, &ws)
+		// The receiver's stream sits on a different codec than the
+		// sender's: a policy stream decodes whatever the header names.
+		send, recv := NewStream(Adaptive()), NewStream(Adaptive())
+		send.SetCodec(c)
+		recv.SetCodec(FP16())
+		wire := make([]float32, send.WireLen(n))
+		if len(wire) != 1+c.EncodedLen(n) {
+			t.Fatalf("%v: WireLen %d, want header + %d", c, len(wire), c.EncodedLen(n))
+		}
+		send.EncodeWire(wire, src)
 		dst := make([]float32, n)
-		DecodeFromWire(dst, wire)
+		recv.DecodeWire(dst, wire)
 
 		want := make([]float32, n)
 		c.Decode(want, wire[1:])
@@ -194,12 +200,48 @@ func TestSelfDescribingWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStaticWireIsHeaderless: a codec's stream puts exactly the encoded
+// words on the wire, and a payload of the wrong length is rejected.
+func TestStaticWireIsHeaderless(t *testing.T) {
+	const n = 100
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i) * 0.25
+	}
+	st := NewStream(FP16())
+	wire := make([]float32, st.WireLen(n))
+	if len(wire) != FP16().EncodedLen(n) {
+		t.Fatalf("static WireLen %d, want %d", len(wire), FP16().EncodedLen(n))
+	}
+	st.EncodeWire(wire, src)
+	direct := make([]float32, len(wire))
+	FP16().Encode(direct, src, nil)
+	for i := range wire {
+		if math.Float32bits(wire[i]) != math.Float32bits(direct[i]) {
+			t.Fatalf("word %d: static wire differs from the codec's encoding", i)
+		}
+	}
+	dst := make([]float32, n)
+	st.DecodeWire(dst, wire)
+	for i := range src {
+		if dst[i] != src[i] {
+			t.Fatalf("element %d: %v != %v", i, dst[i], src[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecodeWire must reject a payload of the wrong length")
+		}
+	}()
+	st.DecodeWire(dst, wire[1:])
+}
+
 func TestHeaderWordSurvivesFloatTransport(t *testing.T) {
 	// Header words ride a float32 wire; the bit pattern must survive a
 	// float round-trip for every kind (i.e. never be a signaling NaN
 	// that transport could canonicalize — we rely on exact bits).
 	for _, c := range []Codec{None(), FP16(), Int8(DefaultInt8Block), TopKCount(5, false)} {
-		h := HeaderWord(c)
+		h := headerWord(c)
 		bits := math.Float32bits(h)
 		if got := math.Float32bits(math.Float32frombits(bits)); got != bits {
 			t.Fatalf("%v: header bits not stable: %x != %x", c, got, bits)
