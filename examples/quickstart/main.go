@@ -1,10 +1,13 @@
-// Quickstart: the Horovod-style public API in its smallest form.
+// Quickstart: the Horovod-style front door in its smallest form.
 //
 // Four simulated GPUs train a shared MLP on a synthetic dataset. Each
 // rank wraps its optimizer in core.NewDistributedOptimizer with
 // op=OpAdasum — the one-line change §4.1 of the paper advertises — and
 // every optimizer step transparently runs the Figure 3 pattern: local
 // Adam step, Adasum allreduce of the effective gradient, model rewind.
+// Step reduces through the rank's communicator; pass a
+// collective.NewHierarchy built from it instead for the §4.2.2
+// hierarchical reduction.
 //
 //	go run ./examples/quickstart
 package main
@@ -48,7 +51,7 @@ func main() {
 
 		// The one-line Horovod idiom:
 		//   opt = hvd.DistributedOptimizer(opt, op=hvd.Adasum)
-		dopt := core.NewDistributedOptimizer(optim.NewAdam(), core.OpAdasum, core.Options{})
+		dopt := core.NewDistributedOptimizer(optim.NewAdam(), core.OpAdasum)
 
 		shard := train.Shard(p.Rank(), ranks)
 		iter := data.NewIterator(shard.N, 32, int64(p.Rank()))

@@ -1,13 +1,12 @@
-// Package core is the reproduction's public API, shaped after Horovod's
-// (§4.1 of the paper): an Allreduce with a selectable reduction op
-// (Sum, Average, or Adasum) and a DistributedOptimizer wrapper,
+// Package core is the reproduction's front door, shaped after Horovod's
+// (§4.1 of the paper): one DistributedOptimizer wrapper, so that
 //
 //	opt = hvd.DistributedOptimizer(opt, op=hvd.Adasum)
 //
 // becomes
 //
 //	c := collective.New(proc, group, collective.Config{})
-//	dopt := core.NewDistributedOptimizer(opt, core.OpAdasum, core.Options{})
+//	dopt := core.NewDistributedOptimizer(opt, core.OpAdasum)
 //	dopt.Step(c, net, lr)
 //
 // For OpAdasum the wrapper implements the Figure 3 pattern: the inner
@@ -16,132 +15,48 @@
 // why Adasum composes with Adam and LAMB without increasing their
 // effective minibatch.
 //
-// Everything communicates through a collective.Communicator — the
-// rank's endpoint bound to its group, with the collective algorithm
-// chosen by the communicator's Strategy (StrategyAuto reproduces the
-// paper's dispatch: Algorithm 1 on power-of-two groups, the linear
-// chain otherwise) and on-the-wire compression by its unified
-// Compression knob: fp16 communication (§4.4.1) is
+// Step reduces through a Reducer, which a flat *collective.Communicator
+// and a caller-held *collective.Hierarchy (§4.2.2) both satisfy. Every
+// other choice is the communicator's configuration: the algorithm
+// follows its Strategy (StrategyAuto reproduces the paper's dispatch:
+// Algorithm 1 on power-of-two groups, the linear chain otherwise) and
+// the wire codec its Compression knob, so fp16 communication (§4.4.1)
+// is
 //
 //	collective.New(p, g, collective.Config{Compression: compress.FP16()})
 //
 // and an adaptive policy (compress.Adaptive) slots into the same field.
-// The legacy core-side fp16 round-trip (Options.FP16/Scaler) is gone —
-// quantization is the communicator's job; compose a
-// scaling.LossScaler around the reduction when tiny gradients must
-// survive binary16's exponent range. Hierarchical reduction (§4.2.2)
-// is a caller-held collective.NewHierarchy passed through
-// Options.Hierarchy, so the sub-communicators are split once, not per
-// call. Tensor fusion (§4.4.3) hangs off AllreduceTensors.
+// Build a Hierarchy once off that communicator and pass it to Step
+// instead; its sub-communicators and their compression streams then
+// persist across steps. Tensor fusion and overlapped per-bucket
+// reduction live in the overlap engine that the trainer drives.
 package core
 
 import (
-	"repro/internal/collective"
-	"repro/internal/fusion"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
-// Op selects the reduction applied by Allreduce.
+// Op selects the reduction a DistributedOptimizer applies.
 type Op int
 
 // Reduction operations.
 const (
-	// OpSum is the elementwise sum — Horovod's default.
-	OpSum Op = iota
-	// OpAverage is the elementwise mean.
-	OpAverage
-	// OpAdasum is the adaptive sum of the paper.
+	// OpAverage averages the gradients, then steps the inner optimizer
+	// once: synchronous SGD, Horovod's default.
+	OpAverage Op = iota
+	// OpAdasum is the adaptive sum of the paper, applied to the model
+	// deltas of per-rank optimizer steps (Figure 3).
 	OpAdasum
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpAverage:
-		return "average"
-	case OpAdasum:
-		return "adasum"
-	default:
-		return "sum"
-	}
-}
-
-// Options tunes the communication path.
-type Options struct {
-	// Hierarchy, when set, runs every reduction through the caller-held
-	// composition (§4.2.2): intra-node reduce-scatter (sum), cross-node
-	// reduction, intra-node allgather. Build it once off the same
-	// communicator the reduction uses —
-	//
-	//	h := collective.NewHierarchy(c, gpusPerNode)
-	//
-	// — and reuse it across steps; the sub-communicators (and their
-	// compression streams) persist instead of being re-split per call,
-	// which is also what keeps error-feedback residuals attached to
-	// their levels. nil reduces flat on the communicator itself.
-	Hierarchy *collective.Hierarchy
-	// FusionThresholdBytes caps fused buffer sizes for AllreduceTensors
-	// (§4.4.3). Zero selects the 64 MB default.
-	FusionThresholdBytes int
-}
-
-// Allreduce reduces x in place across c's group with the chosen op.
-// layout provides per-layer boundaries for Adasum (§3.6); pass
-// tensor.FlatLayout(len(x)) for whole-gradient semantics. The algorithm
-// follows c's Strategy (StrategyAuto: Algorithm 1 on power-of-two
-// groups, linear chain otherwise; ring for sum/average), and the wire
-// format follows c's Compression config. All members of the group must
-// call Allreduce with the same op and options; when o.Hierarchy is set
-// it must have been built from a communicator over the same group.
-func Allreduce(c *collective.Communicator, x []float32, layout tensor.Layout, op Op, o Options) {
-	if o.Hierarchy != nil {
-		hierarchicalAllreduce(o.Hierarchy, x, layout, op)
-		return
-	}
-	flatAllreduce(c, x, layout, op)
-}
-
-func flatAllreduce(c *collective.Communicator, x []float32, layout tensor.Layout, op Op) {
-	switch op {
-	case OpSum:
-		c.AllreduceSum(x)
-	case OpAverage:
-		c.AllreduceMean(x)
-	case OpAdasum:
-		c.Adasum(x, layout)
-	}
-}
-
-func hierarchicalAllreduce(h *collective.Hierarchy, x []float32, layout tensor.Layout, op Op) {
-	switch op {
-	case OpSum:
-		h.AllreduceSum(x)
-	case OpAverage:
-		h.AllreduceMean(x)
-	case OpAdasum:
-		h.Adasum(x, layout)
-	}
-}
-
-// AllreduceTensors fuses the named tensors into buffers bounded by the
-// fusion threshold, reduces each fused buffer (per-layer boundaries are
-// the member tensors), and scatters results back — the full §4.4.3
-// path. In hierarchical mode the caller's composition is reused across
-// every bucket.
-func AllreduceTensors(c *collective.Communicator, tensors [][]float32, names []string, op Op, o Options) {
-	groups := fusion.Fuse(tensors, names, o.FusionThresholdBytes)
-	p := c.Proc()
-	for i := range groups {
-		p.ComputeMemCopy(groups[i].Bytes())
-		if o.Hierarchy != nil {
-			hierarchicalAllreduce(o.Hierarchy, groups[i].Data, groups[i].Layout, op)
-		} else {
-			flatAllreduce(c, groups[i].Data, groups[i].Layout, op)
-		}
-		p.ComputeMemCopy(groups[i].Bytes())
-	}
-	fusion.UnfuseAll(groups, tensors)
+// Reducer is the reduction a DistributedOptimizer steps through:
+// *collective.Communicator and *collective.Hierarchy satisfy it. All
+// members of the group must step with the same op.
+type Reducer interface {
+	AllreduceMean(x []float32)
+	Adasum(x []float32, layout tensor.Layout)
 }
 
 // DistributedOptimizer wraps a local optimizer with the distributed
@@ -149,34 +64,33 @@ func AllreduceTensors(c *collective.Communicator, tensors [][]float32, names []s
 type DistributedOptimizer struct {
 	inner optim.Optimizer
 	op    Op
-	opts  Options
 
 	start []float32 // scratch: pre-step parameter snapshot (Figure 3)
 	delta []float32
 }
 
 // NewDistributedOptimizer wraps inner with reduction op.
-func NewDistributedOptimizer(inner optim.Optimizer, op Op, opts Options) *DistributedOptimizer {
-	return &DistributedOptimizer{inner: inner, op: op, opts: opts}
+func NewDistributedOptimizer(inner optim.Optimizer, op Op) *DistributedOptimizer {
+	return &DistributedOptimizer{inner: inner, op: op}
 }
 
 // Inner returns the wrapped optimizer.
 func (d *DistributedOptimizer) Inner() optim.Optimizer { return d.inner }
 
-// Step performs one distributed update of net on the rank behind c:
+// Step performs one distributed update of net through r:
 //
-//   - Sum/Average ops reduce the gradients first, then run the inner
+//   - OpAverage reduces the gradients first, then runs the inner
 //     optimizer once — synchronous SGD;
-//   - Adasum runs the inner optimizer on the local gradient, computes the
-//     effective gradient (current - start), Adasum-allreduces it, and
-//     rewinds the model to start + combined delta (Figure 3).
-func (d *DistributedOptimizer) Step(c *collective.Communicator, net *nn.Network, lr float64) {
+//   - OpAdasum runs the inner optimizer on the local gradient, computes
+//     the effective gradient (current - start), Adasum-allreduces it
+//     per layer, and rewinds the model to start + combined delta
+//     (Figure 3).
+func (d *DistributedOptimizer) Step(r Reducer, net *nn.Network, lr float64) {
 	params := net.Params()
 	grads := net.Grads()
-	layout := net.Layout()
 	switch d.op {
-	case OpSum, OpAverage:
-		Allreduce(c, grads, layout, OpAverage, d.opts)
+	case OpAverage:
+		r.AllreduceMean(grads)
 		d.inner.Step(params, grads, lr)
 	case OpAdasum:
 		if cap(d.start) < len(params) {
@@ -188,7 +102,7 @@ func (d *DistributedOptimizer) Step(c *collective.Communicator, net *nn.Network,
 		copy(d.start, params)
 		d.inner.Step(params, grads, lr)
 		tensor.Sub(d.delta, params, d.start)
-		Allreduce(c, d.delta, layout, OpAdasum, d.opts)
+		r.Adasum(d.delta, net.Layout())
 		copy(params, d.start)
 		tensor.Axpy(1, d.delta, params)
 	}

@@ -28,121 +28,100 @@ func randInputs(seed int64, ranks, n int) [][]float32 {
 	return out
 }
 
-func TestAllreduceSumAverage(t *testing.T) {
-	ranks, n := 4, 50
-	inputs := randInputs(1, ranks, n)
-	want := adasum.SumReduce(inputs)
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	layout := tensor.FlatLayout(n)
-
-	sums := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		Allreduce(collective.New(p, g, collective.Config{}), x, layout, OpSum, Options{})
-		return x
-	})
-	for _, s := range sums {
-		if !tensor.Equal(s, want, 1e-4) {
-			t.Fatal("OpSum mismatch")
-		}
-	}
-
-	w2 := comm.NewWorld(ranks, nil)
-	avgWant := tensor.Clone(want)
-	tensor.Scale(0.25, avgWant)
-	avgs := comm.RunCollect(w2, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		Allreduce(collective.New(p, g, collective.Config{}), x, layout, OpAverage, Options{})
-		return x
-	})
-	for _, s := range avgs {
-		if !tensor.Equal(s, avgWant, 1e-4) {
-			t.Fatal("OpAverage mismatch")
-		}
-	}
+// figure3Want is the host-side expectation of one OpAdasum step from
+// start: the ranks' local optimizer deltas, combined by reduce, added
+// back onto start.
+func figure3Want(start []float32, deltas [][]float32, reduce func([][]float32) []float32) []float32 {
+	want := tensor.Clone(start)
+	tensor.Axpy(1, reduce(deltas), want)
+	return want
 }
 
-func TestAllreduceAdasumMatchesHostTree(t *testing.T) {
-	ranks, n := 8, 64
-	inputs := randInputs(2, ranks, n)
-	layout := tensor.NewLayout([]string{"a", "b"}, []int{40, 24})
-	want := adasum.TreeReduce(inputs, layout)
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		Allreduce(collective.New(p, g, collective.Config{}), x, layout, OpAdasum, Options{})
-		return x
-	})
-	for _, v := range got {
-		if !tensor.Equal(v, want, 1e-4) {
-			t.Fatal("OpAdasum mismatch with host tree")
-		}
+// sgdDeltas returns each rank's delta for one plain SGD step on grads.
+func sgdDeltas(start []float32, grads [][]float32, lr float64) [][]float32 {
+	out := make([][]float32, len(grads))
+	for r, g := range grads {
+		p := tensor.Clone(start)
+		optim.NewSGD().Step(p, g, lr)
+		out[r] = make([]float32, len(p))
+		tensor.Sub(out[r], p, start)
 	}
+	return out
 }
 
+// stepDense runs one SGD DistributedOptimizer step per rank on a
+// bias-free dense net whose gradient is grads[rank], reducing through
+// the Reducer reducerFor builds from the rank's communicator, and
+// returns every rank's parameters.
+func stepDense(start []float32, grads [][]float32, op Op, lr float64,
+	cfg collective.Config, reducerFor func(c *collective.Communicator) Reducer) [][]float32 {
+	ranks := len(grads)
+	w := comm.NewWorld(ranks, nil)
+	g := collective.WorldGroup(ranks)
+	return comm.RunCollect(w, func(p *comm.Proc) []float32 {
+		net := nn.NewNetwork(nn.NewDenseNoBias("fc", 4, len(start)/4))
+		net.SetParams(start)
+		copy(net.Grads(), grads[p.Rank()])
+		dopt := NewDistributedOptimizer(optim.NewSGD(), op)
+		dopt.Step(reducerFor(collective.New(p, g, cfg)), net, lr)
+		return tensor.Clone(net.Params())
+	})
+}
+
+func flat(c *collective.Communicator) Reducer { return c }
+
+// TestAllreduceAdasumNonPowerOfTwoFallsBack: on a three-rank group the
+// Adasum step follows StrategyAuto onto the linear chain.
 func TestAllreduceAdasumNonPowerOfTwoFallsBack(t *testing.T) {
 	ranks, n := 3, 20
-	inputs := randInputs(3, ranks, n)
-	layout := tensor.FlatLayout(n)
-	want := adasum.LinearReduce(inputs, layout)
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		Allreduce(collective.New(p, g, collective.Config{}), x, layout, OpAdasum, Options{})
-		return x
+	grads := randInputs(3, ranks, n)
+	start := randInputs(13, 1, n)[0]
+	want := figure3Want(start, sgdDeltas(start, grads, 0.1), func(d [][]float32) []float32 {
+		return adasum.LinearReduce(d, tensor.FlatLayout(n))
 	})
-	for _, v := range got {
-		if !tensor.Equal(v, want, 1e-4) {
-			t.Fatal("non-power-of-two fallback mismatch")
+	for r, v := range stepDense(start, grads, OpAdasum, 0.1, collective.Config{}, flat) {
+		if !tensor.Equal(v, want, 1e-5) {
+			t.Fatalf("rank %d: non-power-of-two fallback mismatch", r)
 		}
 	}
 }
 
+// TestAllreduceHierarchicalAdasum: a caller-held Hierarchy is a Reducer.
+// Deltas are summed within each node, then Adasum-combined across nodes
+// (§4.2.2).
 func TestAllreduceHierarchicalAdasum(t *testing.T) {
 	gpus, nodes := 2, 2
-	ranks := gpus * nodes
-	n := 30
-	inputs := randInputs(4, ranks, n)
-	layout := tensor.FlatLayout(n)
-	nodeSums := make([][]float32, nodes)
-	for nd := 0; nd < nodes; nd++ {
-		nodeSums[nd] = adasum.SumReduce(inputs[nd*gpus : (nd+1)*gpus])
-	}
-	want := adasum.TreeReduce(nodeSums, layout)
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		c := collective.New(p, g, collective.Config{})
-		Allreduce(c, x, layout, OpAdasum, Options{Hierarchy: collective.NewHierarchy(c, gpus)})
-		return x
+	n := 32
+	grads := randInputs(4, gpus*nodes, n)
+	start := randInputs(14, 1, n)[0]
+	want := figure3Want(start, sgdDeltas(start, grads, 0.1), func(d [][]float32) []float32 {
+		nodeSums := make([][]float32, nodes)
+		for nd := range nodeSums {
+			nodeSums[nd] = adasum.SumReduce(d[nd*gpus : (nd+1)*gpus])
+		}
+		return adasum.TreeReduce(nodeSums, tensor.FlatLayout(n))
 	})
-	for _, v := range got {
-		if !tensor.Equal(v, want, 1e-4) {
-			t.Fatal("hierarchical adasum mismatch")
+	hier := func(c *collective.Communicator) Reducer { return collective.NewHierarchy(c, gpus) }
+	for r, v := range stepDense(start, grads, OpAdasum, 0.1, collective.Config{}, hier) {
+		if !tensor.Equal(v, want, 1e-5) {
+			t.Fatalf("rank %d: hierarchical adasum mismatch", r)
 		}
 	}
 }
 
+// TestAllreduceFP16Quantizes: the wire codec is the communicator's knob,
+// and the average step goes through it.
 func TestAllreduceFP16Quantizes(t *testing.T) {
 	ranks, n := 2, 16
-	inputs := randInputs(5, ranks, n)
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	layout := tensor.FlatLayout(n)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		x := tensor.Clone(inputs[p.Rank()])
-		c := collective.New(p, g, collective.Config{Compression: compress.FP16()})
-		Allreduce(c, x, layout, OpSum, Options{})
-		return x
-	})
-	want := adasum.SumReduce(inputs)
-	for _, v := range got {
-		// Quantization error bounded by fp16 resolution of values ~2.
+	grads := randInputs(5, ranks, n)
+	start := make([]float32, n)
+	want := tensor.Clone(start)
+	optim.NewSGD().Step(want, adasum.MeanReduce(grads), 1)
+	fp16 := collective.Config{Compression: compress.FP16()}
+	for _, v := range stepDense(start, grads, OpAverage, 1, fp16, flat) {
+		// Quantization error bounded by fp16 resolution of values ~1.
 		if !tensor.Equal(v, want, 5e-3) {
-			t.Fatal("fp16 sum too far from fp32 sum")
+			t.Fatal("fp16 average too far from fp32 average")
 		}
 		if tensor.Equal(v, want, 0) {
 			t.Fatal("fp16 path appears to be a no-op (no quantization)")
@@ -150,74 +129,39 @@ func TestAllreduceFP16Quantizes(t *testing.T) {
 	}
 }
 
+// TestAllreduceFP16WithScaler: gradients that underflow binary16 survive
+// an fp16 wire when a loss scaler scales them up and the step size is
+// divided back down — loss scaling composes around the optimizer.
 func TestAllreduceFP16WithScaler(t *testing.T) {
-	// Tiny gradients that underflow fp16 must survive when scaled.
 	ranks, n := 2, 8
-	small := make([]float32, n)
-	for i := range small {
-		small[i] = 3e-8 // below fp16 min subnormal
-	}
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	layout := tensor.FlatLayout(n)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		// Loss scaling now composes around the fp16-codec communicator
-		// instead of riding a core option.
-		x := tensor.Clone(small)
-		s := scaling.NewLossScaler()
-		s.ScaleGrads(x)
-		c := collective.New(p, g, collective.Config{Compression: compress.FP16()})
-		Allreduce(c, x, layout, OpSum, Options{})
-		s.Unscale(x)
-		return x
-	})
-	for _, v := range got {
-		if v[0] == 0 {
-			t.Fatal("scaled fp16 path lost small gradients to underflow")
+	s := scaling.NewLossScaler()
+	small := make([][]float32, ranks)
+	scaled := make([][]float32, ranks)
+	for r := range small {
+		small[r] = make([]float32, n)
+		for i := range small[r] {
+			small[r][i] = 2e-8 // rounds to zero in fp16
 		}
+		scaled[r] = tensor.Clone(small[r])
+		s.ScaleGrads(scaled[r])
 	}
-}
-
-func TestAllreduceTensorsFusionRoundTrip(t *testing.T) {
-	ranks := 4
-	sizes := []int{10, 3, 25, 7}
-	names := []string{"conv1", "bn1", "fc1", "fc2"}
-	perRank := make([][][]float32, ranks)
-	for r := 0; r < ranks; r++ {
-		flat := randInputs(int64(10+r), 1, 45)[0]
-		split := make([][]float32, len(sizes))
-		off := 0
-		for i, s := range sizes {
-			split[i] = flat[off : off+s]
-			off += s
-		}
-		perRank[r] = split
-	}
-	// Host reference: per-tensor adasum tree.
-	want := make([][]float32, len(sizes))
-	for i, s := range sizes {
-		ins := make([][]float32, ranks)
-		for r := 0; r < ranks; r++ {
-			ins[r] = perRank[r][i]
-		}
-		want[i] = adasum.TreeReduce(ins, tensor.FlatLayout(s))
-	}
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	got := comm.RunCollect(w, func(p *comm.Proc) [][]float32 {
-		mine := make([][]float32, len(sizes))
-		for i := range sizes {
-			mine[i] = tensor.Clone(perRank[p.Rank()][i])
-		}
-		AllreduceTensors(collective.New(p, g, collective.Config{}), mine, names, OpAdasum, Options{FusionThresholdBytes: 1 << 20})
-		return mine
-	})
-	for _, rankOut := range got {
-		for i := range sizes {
-			if !tensor.Equal(rankOut[i], want[i], 1e-4) {
-				t.Fatalf("fused tensor %d mismatch", i)
+	start := make([]float32, n)
+	fp16 := collective.Config{Compression: compress.FP16()}
+	hasZero := func(ranks [][]float32) bool {
+		for _, v := range ranks {
+			for _, x := range v {
+				if x == 0 {
+					return true
+				}
 			}
 		}
+		return false
+	}
+	if !hasZero(stepDense(start, small, OpAverage, 1, fp16, flat)) {
+		t.Fatal("unscaled fp16 step kept every update; the gradients must underflow on the wire")
+	}
+	if hasZero(stepDense(start, scaled, OpAverage, 1/s.Scale, fp16, flat)) {
+		t.Fatal("scaled fp16 path lost small gradients to underflow")
 	}
 }
 
@@ -257,7 +201,7 @@ func TestDistributedOptimizerAdasumFigure3Semantics(t *testing.T) {
 		shard := train.Shard(p.Rank(), ranks)
 		x, labels := shard.Batch([]int{0, 1, 2, 3})
 		net.Gradient(x, labels, 4)
-		dopt := NewDistributedOptimizer(optim.NewAdam(), OpAdasum, Options{})
+		dopt := NewDistributedOptimizer(optim.NewAdam(), OpAdasum)
 		dopt.Step(collective.New(p, g, collective.Config{}), net, 0.01)
 		return tensor.Clone(net.Params())
 	})
@@ -269,31 +213,17 @@ func TestDistributedOptimizerAdasumFigure3Semantics(t *testing.T) {
 }
 
 func TestDistributedOptimizerSumMatchesSequentialAveragedStep(t *testing.T) {
-	ranks := 4
-	n := 20
-	inputs := randInputs(8, ranks, n)
-	layout := tensor.FlatLayout(n)
-	_ = layout
+	ranks, n := 4, 20
+	grads := randInputs(8, ranks, n)
 	start := randInputs(9, 1, n)[0]
 
 	// Expectation: one SGD step with the averaged gradient.
-	avg := adasum.MeanReduce(inputs)
 	want := tensor.Clone(start)
-	optim.NewSGD().Step(want, avg, 0.1)
+	optim.NewSGD().Step(want, adasum.MeanReduce(grads), 0.1)
 
-	w := comm.NewWorld(ranks, nil)
-	g := collective.WorldGroup(ranks)
-	got := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		net := nn.NewNetwork(nn.NewDenseNoBias("fc", 4, 5)) // 20 params
-		net.SetParams(start)
-		copy(net.Grads(), inputs[p.Rank()])
-		dopt := NewDistributedOptimizer(optim.NewSGD(), OpSum, Options{})
-		dopt.Step(collective.New(p, g, collective.Config{}), net, 0.1)
-		return tensor.Clone(net.Params())
-	})
-	for r, v := range got {
+	for r, v := range stepDense(start, grads, OpAverage, 0.1, collective.Config{}, flat) {
 		if !tensor.Equal(v, want, 1e-5) {
-			t.Fatalf("rank %d: sum optimizer mismatch", r)
+			t.Fatalf("rank %d: average optimizer mismatch", r)
 		}
 	}
 }
@@ -312,7 +242,7 @@ func TestDistributedTrainingEndToEnd(t *testing.T) {
 		net := nn.NewMLP(12, 16, 3)
 		net.SetParams(init)
 		c := collective.New(p, g, collective.Config{})
-		dopt := NewDistributedOptimizer(optim.NewMomentum(0.9), OpAdasum, Options{})
+		dopt := NewDistributedOptimizer(optim.NewMomentum(0.9), OpAdasum)
 		shard := train.Shard(p.Rank(), ranks)
 		it := data.NewIterator(shard.N, 16, int64(100+p.Rank()))
 		for step := 0; step < 120; step++ {

@@ -15,10 +15,10 @@ import (
 )
 
 // TestTrainerMatchesDistributedLoop cross-validates the two independent
-// implementations of data-parallel Adasum training: the host-side
-// trainer harness (used by the convergence experiments) and a real
-// multi-rank loop through the public Allreduce API. Same data, same
-// seeds, same reduction order — the resulting models must match.
+// implementations of the Figure 3 step: the host-side trainer harness
+// (used by the convergence experiments) and a real multi-rank loop
+// through DistributedOptimizer. Same data, same seeds, same reduction
+// order — the resulting models must match.
 func TestTrainerMatchesDistributedLoop(t *testing.T) {
 	const (
 		ranks = 4
@@ -31,13 +31,14 @@ func TestTrainerMatchesDistributedLoop(t *testing.T) {
 	}, 64)
 	mkNet := func() *nn.Network { return nn.NewMLP(10, 12, 3) }
 
-	// Path 1: the trainer harness (PreOptimizer Adasum + SGD).
+	// Path 1: the trainer harness (PostOptimizer Adasum + SGD).
 	stepsPerEpoch := train.N / (ranks * micro)
 	epochs := steps / stepsPerEpoch
 	tr := trainer.Run(trainer.Config{
 		Workers:    ranks,
 		Microbatch: micro,
 		Reduction:  trainer.ReduceAdasum,
+		Scope:      trainer.PostOptimizer,
 		PerLayer:   true,
 		Model:      mkNet,
 		Optimizer:  optim.NewSGD(),
@@ -49,7 +50,7 @@ func TestTrainerMatchesDistributedLoop(t *testing.T) {
 	})
 
 	// Path 2: a genuine multi-rank loop with the same iterator seeds and
-	// the same starting model, reducing gradients through AdasumRVH.
+	// the same starting model, combining SGD deltas through AdasumRVH.
 	seedNet := mkNet()
 	seedNet.Init(rand.New(rand.NewSource(33)))
 	init := tensor.Clone(seedNet.Params())
@@ -58,6 +59,7 @@ func TestTrainerMatchesDistributedLoop(t *testing.T) {
 	g := collective.WorldGroup(ranks)
 	finals := comm.RunCollect(w, func(p *comm.Proc) []float32 {
 		c := collective.New(p, g, collective.Config{})
+		dopt := NewDistributedOptimizer(optim.NewSGD(), OpAdasum)
 		net := mkNet()
 		net.SetParams(init)
 		shard := train.Shard(p.Rank(), ranks)
@@ -66,8 +68,7 @@ func TestTrainerMatchesDistributedLoop(t *testing.T) {
 			idx := it.Next()
 			x, labels := shard.Batch(idx)
 			net.Gradient(x, labels, len(idx))
-			Allreduce(c, net.Grads(), net.Layout(), OpAdasum, Options{})
-			optim.NewSGD().Step(net.Params(), net.Grads(), lr)
+			dopt.Step(c, net, lr)
 		}
 		return tensor.Clone(net.Params())
 	})
@@ -101,7 +102,7 @@ func TestFP16TrainingEndToEnd(t *testing.T) {
 		net := nn.NewMLP(12, 16, 3)
 		net.SetParams(init)
 		c := collective.New(p, g, collective.Config{Compression: compress.FP16()})
-		dopt := NewDistributedOptimizer(optim.NewMomentum(0.9), OpAdasum, Options{})
+		dopt := NewDistributedOptimizer(optim.NewMomentum(0.9), OpAdasum)
 		shard := train.Shard(p.Rank(), ranks)
 		it := data.NewIterator(shard.N, 16, int64(40+p.Rank()))
 		for s := 0; s < 100; s++ {
@@ -120,9 +121,10 @@ func TestFP16TrainingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHierarchicalFusedTraining combines hierarchical allreduce with
-// tensor fusion in a live training loop — the §4.2.2 + §4.4.3
-// configuration Horovod runs in production.
+// TestHierarchicalFusedTraining trains through a caller-held Hierarchy
+// — intra-node sum, cross-node Adasum over the whole fused gradient
+// with per-layer boundaries — in a live loop: the §4.2.2 configuration
+// Horovod runs in production.
 func TestHierarchicalFusedTraining(t *testing.T) {
 	const (
 		gpus  = 2
@@ -139,8 +141,8 @@ func TestHierarchicalFusedTraining(t *testing.T) {
 	w := comm.NewWorld(ranks, nil)
 	g := collective.WorldGroup(ranks)
 	accs := comm.RunCollect(w, func(p *comm.Proc) float64 {
-		c := collective.New(p, g, collective.Config{})
-		opts := Options{Hierarchy: collective.NewHierarchy(c, gpus)}
+		h := collective.NewHierarchy(collective.New(p, g, collective.Config{}), gpus)
+		dopt := NewDistributedOptimizer(optim.NewSGD(), OpAdasum)
 		net := nn.NewMLP(12, 16, 3)
 		net.SetParams(init)
 		shard := train.Shard(p.Rank(), ranks)
@@ -149,10 +151,7 @@ func TestHierarchicalFusedTraining(t *testing.T) {
 			idx := it.Next()
 			x, labels := shard.Batch(idx)
 			net.Gradient(x, labels, len(idx))
-			Allreduce(c, net.Grads(), net.Layout(), OpAdasum, opts)
-			for i, gr := range net.Grads() {
-				net.Params()[i] -= 0.05 * gr
-			}
+			dopt.Step(h, net, 0.05)
 		}
 		tx, tl := test.Batch(seqInts(test.N))
 		return net.Accuracy(tx, tl, test.N)
