@@ -26,12 +26,9 @@ BENCHTIME="${2:-2s}"
 # PR number is derived from the output filename (BENCH_<N>.json).
 PR="$(basename "$OUT" | sed -n 's/^BENCH_\([0-9]\+\)\.json$/\1/p')"
 PR="${PR:-0}"
-# Kept in sync with scripts/bench_compare.sh, which gates CI on these.
-PATTERN='BenchmarkServeScheduler|BenchmarkElasticStep|BenchmarkAdaptivePolicyStep|BenchmarkCommunicatorAdasum16Ranks|BenchmarkCommunicatorBroadcastGather16Ranks|BenchmarkOverlappedStepFP16|BenchmarkTensorDot1M|BenchmarkDotNormsFusedVsSeparate|BenchmarkAdasumCombine1M|BenchmarkAdasumTreeReduce16x64K|BenchmarkAdasumRVH16Ranks|BenchmarkAdasumRVH256Ranks|BenchmarkWorld1024Construct|BenchmarkRingAllreduce16Ranks|BenchmarkOverlappedStep|BenchmarkAblation'
-# The GOMAXPROCS=1 re-run covers the benchmarks whose wall-clock is
-# dominated by concurrent rank goroutines (kept in sync with
-# bench_compare.sh's speedup gate).
-PARALLEL_PATTERN='BenchmarkAdasumRVH256Ranks|BenchmarkAdasumRVH16Ranks|BenchmarkOverlappedStep$'
+# PATTERN and PARALLEL_PATTERN: the benchmark lists bench_compare.sh
+# gates CI on.
+. scripts/bench_patterns.sh
 
 RAW="$(go test -run=NONE -bench="$PATTERN" -benchmem -benchtime="$BENCHTIME" .)"
 echo "$RAW"

@@ -32,8 +32,8 @@ if [ -z "$BASE" ]; then
     exit 1
 fi
 
-# Kept in sync with scripts/bench.sh, which records the snapshots.
-PATTERN='BenchmarkServeScheduler|BenchmarkElasticStep|BenchmarkAdaptivePolicyStep|BenchmarkCommunicatorAdasum16Ranks|BenchmarkCommunicatorBroadcastGather16Ranks|BenchmarkOverlappedStepFP16|BenchmarkTensorDot1M|BenchmarkDotNormsFusedVsSeparate|BenchmarkAdasumCombine1M|BenchmarkAdasumTreeReduce16x64K|BenchmarkAdasumRVH16Ranks|BenchmarkAdasumRVH256Ranks|BenchmarkWorld1024Construct|BenchmarkRingAllreduce16Ranks|BenchmarkOverlappedStep|BenchmarkAblation'
+# PATTERN: the benchmark list bench.sh records the snapshots with.
+. scripts/bench_patterns.sh
 
 RAW="$(go test -run=NONE -bench="$PATTERN" -benchmem -benchtime="$BENCHTIME" .)"
 echo "$RAW"
