@@ -632,10 +632,11 @@ func BenchmarkAblationTreeVsLinear(b *testing.B) {
 			_ = red.TreeReduce(grads, layout)
 		}
 	})
+	out := make([]float32, 1<<14)
 	b.Run("linear", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = red.LinearReduce(grads, layout)
+			adasum.LinearReduceInto(out, grads, layout)
 		}
 	})
 }
@@ -705,7 +706,6 @@ func BenchmarkServeScheduler(b *testing.B) {
 			Reduction:   trainer.ReduceAdasum,
 			Scope:       trainer.PostOptimizer,
 			PerLayer:    true,
-			Comm:        trainer.CommCluster,
 			Overlap:     true,
 			Strategy:    collective.StrategyRVH,
 			FusionBytes: 2048,

@@ -319,43 +319,6 @@ func (r *Reducer) TreeReduceInto(dst []float32, grads [][]float32, layout tensor
 	CombineLayers(dst, work[0], work[1], layout)
 }
 
-// LinearReduce applies Adasum left to right: ((g0 ⊕ g1) ⊕ g2) ⊕ ...
-// This is the "linear" application order of §4.2.3; it produces a
-// different (but equally valid) combination than TreeReduce and is kept
-// for the ordering ablation. The result is valid until the Reducer's
-// next call.
-func (r *Reducer) LinearReduce(grads [][]float32, layout tensor.Layout) []float32 {
-	if len(grads) == 0 {
-		panic("adasum: LinearReduce needs at least one gradient")
-	}
-	out := r.ensureOut(len(grads[0]))
-	LinearReduceInto(out, grads, layout)
-	return out
-}
-
-// SumReduce returns the elementwise sum of the gradients — the
-// synchronous-SGD baseline combiner. The result is valid until the
-// Reducer's next call.
-func (r *Reducer) SumReduce(grads [][]float32) []float32 {
-	if len(grads) == 0 {
-		panic("adasum: SumReduce needs at least one gradient")
-	}
-	out := r.ensureOut(len(grads[0]))
-	copy(out, grads[0])
-	for _, g := range grads[1:] {
-		tensor.Axpy(1, g, out)
-	}
-	return out
-}
-
-// MeanReduce returns the elementwise average of the gradients. The result
-// is valid until the Reducer's next call.
-func (r *Reducer) MeanReduce(grads [][]float32) []float32 {
-	out := r.SumReduce(grads)
-	tensor.Scale(1/float32(len(grads)), out)
-	return out
-}
-
 // TreeReduce is the allocating convenience form of Reducer.TreeReduce:
 // the inputs are not modified and the result is freshly allocated. Loops
 // should hold a Reducer instead.
@@ -369,9 +332,12 @@ func TreeReduce(grads [][]float32, layout tensor.Layout) []float32 {
 	return out
 }
 
-// LinearReduceInto applies Adasum left to right into dst, which must not
-// alias any input beyond grads[0] (dst == grads[0] is allowed only if the
-// caller intends in-place accumulation).
+// LinearReduceInto applies Adasum left to right, ((g0 ⊕ g1) ⊕ g2) ⊕ ...,
+// into dst — the "linear" application order of §4.2.3, a different (but
+// equally valid) combination than TreeReduce, kept for the ordering
+// ablation. dst must not alias any input beyond grads[0] (dst ==
+// grads[0] is allowed only if the caller intends in-place
+// accumulation).
 func LinearReduceInto(dst []float32, grads [][]float32, layout tensor.Layout) {
 	if len(grads) == 0 {
 		panic("adasum: LinearReduce needs at least one gradient")
@@ -382,8 +348,7 @@ func LinearReduceInto(dst []float32, grads [][]float32, layout tensor.Layout) {
 	}
 }
 
-// LinearReduce is the allocating convenience form of
-// Reducer.LinearReduce.
+// LinearReduce is the allocating convenience form of LinearReduceInto.
 func LinearReduce(grads [][]float32, layout tensor.Layout) []float32 {
 	if len(grads) == 0 {
 		panic("adasum: LinearReduce needs at least one gradient")

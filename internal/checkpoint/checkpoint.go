@@ -45,7 +45,7 @@ type Worker struct {
 	// Residuals is the worker engine's error-feedback state
 	// (overlap.Engine.SnapshotStreams): per bucket slot, per stream
 	// (source stream first, then hierarchy levels), per encode site.
-	// nil on the host substrate or under stateless codecs.
+	// nil when uncompressed or under stateless codecs.
 	Residuals [][][][]float32
 	// Policy is the worker engine's adaptive-compression decision state
 	// (overlap.Engine.SnapshotPolicies): per bucket slot, the telemetry
@@ -59,9 +59,9 @@ type Worker struct {
 
 // State is the complete training state at a reduction-step boundary.
 type State struct {
-	// Workers is the worker count of the run that captured the state;
-	// resume requires the same count (elastic reshapes restart data
-	// iterators instead — see trainer).
+	// Workers is the live worker count of the run that captured the
+	// state; resume requires the same count (elastic reshapes restart
+	// data iterators instead — see trainer).
 	Workers int
 	// Step is the number of completed reduction steps.
 	Step int64
@@ -78,7 +78,9 @@ type State struct {
 	Params []float32
 	// Shared is the pre-optimizer scope's shared optimizer state.
 	Shared optim.State
-	// PerWorker is indexed by worker (world rank).
+	// PerWorker is indexed by worker (world rank). After failures shrank
+	// the capturing gang it is longer than Workers, and the dead ranks'
+	// entries are zero.
 	PerWorker []Worker
 }
 

@@ -242,13 +242,18 @@ func (c *Communicator) treeAdasum(x []float32, layout tensor.Layout) {
 	c.Broadcast(0, x)
 }
 
-// linearAdasum applies the Adasum combine in a chain: position 0 folds
-// in every other rank's gradient left to right, then broadcasts the
-// result. This is the linear application order of §3.4/§4.2.3 — O(p)
-// latency and serialized bandwidth, kept as the ordering ablation and
-// as the any-group-size fallback, mirroring the paper's finding that
-// the tree (RVH) variant is faster on these topologies.
-func (c *Communicator) linearAdasum(x []float32, layout tensor.Layout) {
+// linearChain is the linear application order of §3.4/§4.2.3:
+// position 0 folds in every other rank's vector in group order, then
+// broadcasts the result. With adaptive set each fold is the per-layer
+// Adasum combine ((g0 ⊕ g1) ⊕ g2) ⊕ ... — O(p) latency and serialized
+// bandwidth, kept as the ordering ablation and as the any-group-size
+// fallback, mirroring the paper's finding that the tree (RVH) variant
+// is faster on these topologies. Otherwise each fold is tensor.Axpy(1,
+// …), the summation order of adasum.SumReduce, so the chain's sum (and
+// AllreduceMean's mean) is bitwise-equal to the host-side reference.
+//
+//adasum:noalloc
+func (c *Communicator) linearChain(x []float32, layout tensor.Layout, adaptive bool) {
 	p, g := c.p, c.shared.group
 	if len(g) == 1 {
 		return
@@ -256,9 +261,15 @@ func (c *Communicator) linearAdasum(x []float32, layout tensor.Layout) {
 	if c.mypos == 0 {
 		for i := 1; i < len(g); i++ {
 			got := c.recvNew(g[i], len(x))
-			adasum.CombineLayers(x, x, got, layout)
+			bytes := 4 * int64(len(x))
+			if adaptive {
+				adasum.CombineLayers(x, x, got, layout)
+				bytes *= 5
+			} else {
+				tensor.Axpy(1, got, x)
+			}
 			p.Release(got)
-			p.ComputeReduce(5 * 4 * int64(len(x)))
+			p.ComputeReduce(bytes)
 		}
 	} else {
 		c.send(g[0], x)

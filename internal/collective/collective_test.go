@@ -245,6 +245,31 @@ func TestLinearAdasumMatchesHostLinear(t *testing.T) {
 	}
 }
 
+// TestLinearMeanMatchesHostMean pins the StrategyLinear sum/mean chain
+// to the host reference bitwise at any group size: the chain adds the
+// ranks in group order exactly as adasum.SumReduce does (the ring's
+// order differs from 3 ranks up).
+func TestLinearMeanMatchesHostMean(t *testing.T) {
+	for _, ranks := range []int{1, 2, 3, 5, 8} {
+		n := 37
+		inputs := makeInputs(int64(40+ranks), ranks, n)
+		wantSum, wantMean := adasum.SumReduce(inputs), adasum.MeanReduce(inputs)
+		w := comm.NewWorld(ranks, nil)
+		g := WorldGroup(ranks)
+		results := comm.RunCollect(w, func(p *comm.Proc) [2][]float32 {
+			sum, mean := tensor.Clone(inputs[p.Rank()]), tensor.Clone(inputs[p.Rank()])
+			C(p, g, StrategyLinear).AllreduceSum(sum)
+			C(p, g, StrategyLinear).AllreduceMean(mean)
+			return [2][]float32{sum, mean}
+		})
+		for r, res := range results {
+			if !tensor.Equal(res[0], wantSum, 0) || !tensor.Equal(res[1], wantMean, 0) {
+				t.Fatalf("ranks=%d rank %d: linear sum/mean differs from the host reference", ranks, r)
+			}
+		}
+	}
+}
+
 func TestHierarchicalAdasumSemantics(t *testing.T) {
 	// 2 nodes x 2 GPUs. Within a node gradients are summed; across nodes
 	// Adasum-combined. Compare against the host-side composition.

@@ -24,8 +24,10 @@ import (
 //     is rejected — a ring sum would silently replace the adaptive
 //     combine with averaging.
 //   - AllreduceSum/AllreduceMean: StrategyRing (bandwidth-optimal ring,
-//     any size, the default) or StrategyRVH (halving/doubling,
-//     power-of-two groups). Tree/Linear/Auto resolve to the ring.
+//     any size, the default), StrategyRVH (halving/doubling,
+//     power-of-two groups) or StrategyLinear (the group-order chain,
+//     any size, bitwise-equal to adasum.SumReduce/MeanReduce).
+//     Tree/Auto resolve to the ring.
 type Strategy int
 
 // Strategy values.
@@ -40,7 +42,8 @@ const (
 	StrategyRVH
 	// StrategyRing is the bandwidth-optimal ring (sum/mean collectives).
 	StrategyRing
-	// StrategyLinear is the chained combine of §4.2.3 (Adasum only).
+	// StrategyLinear is the chained combine of §4.2.3: position 0 folds
+	// the ranks in group order, with the Adasum combine or a plain sum.
 	StrategyLinear
 )
 
@@ -385,8 +388,9 @@ func (c *Communicator) adasumStrategy() Strategy {
 // sumStrategy resolves the configured strategy for the sum/mean
 // collectives.
 func (c *Communicator) sumStrategy() Strategy {
-	if c.shared.strategy == StrategyRVH {
-		return StrategyRVH
+	switch c.shared.strategy {
+	case StrategyRVH, StrategyLinear:
+		return c.shared.strategy
 	}
 	return StrategyRing
 }
@@ -409,7 +413,7 @@ func (c *Communicator) Adasum(x []float32, layout tensor.Layout) {
 	case StrategyRVH:
 		c.adasumRVH(x, layout)
 	default:
-		c.linearAdasum(x, layout)
+		c.linearChain(x, layout, true)
 	}
 }
 
@@ -418,11 +422,14 @@ func (c *Communicator) Adasum(x []float32, layout tensor.Layout) {
 //
 //adasum:noalloc
 func (c *Communicator) AllreduceSum(x []float32) {
-	if c.sumStrategy() == StrategyRVH {
+	switch c.sumStrategy() {
+	case StrategyRVH:
 		c.rvhSum(x)
-		return
+	case StrategyLinear:
+		c.linearChain(x, tensor.Layout{}, false)
+	default:
+		c.ringSum(x)
 	}
-	c.ringSum(x)
 }
 
 // AllreduceMean is AllreduceSum followed by division by the group size

@@ -119,13 +119,6 @@ func (h *Hierarchy) SetCodec(codec compress.Codec) {
 // Levels returns the number of levels including the cross level.
 func (h *Hierarchy) Levels() int { return len(h.scatter) + 1 }
 
-// Cross returns the outermost communicator (one member per innermost
-// shard chain).
-func (h *Hierarchy) Cross() *Communicator { return h.cross }
-
-// Scatter returns the level-i scatter communicator (0 = innermost).
-func (h *Hierarchy) Scatter(i int) *Communicator { return h.scatter[i] }
-
 // begin starts a new step on every level's compression stream. The
 // level communicators are owned by the Hierarchy (callers cannot reach
 // their streams the way they reach a plain Communicator's), and one

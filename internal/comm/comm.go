@@ -510,10 +510,6 @@ func (p *Proc) Model() *simnet.Model { return p.world.model }
 // Clock returns the current virtual time of this rank in seconds.
 func (p *Proc) Clock() float64 { return p.clock }
 
-// SetClock overrides the virtual time (used by harnesses that account
-// compute outside the comm layer).
-func (p *Proc) SetClock(t float64) { p.clock = t }
-
 // Compute advances this rank's clock by dt seconds of local work,
 // failing the rank if the advance crosses its injected deadline.
 //

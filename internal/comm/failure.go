@@ -183,9 +183,6 @@ func (w *World) Reset() {
 // are measured on one continuous virtual timeline across steps.
 func (w *World) SetTimeBase(t float64) { w.timeBase = t }
 
-// TimeBase returns the current time base.
-func (w *World) TimeBase() float64 { return w.timeBase }
-
 // maybeFail kills this rank if its clock has reached the injected
 // fail-at deadline: the rank is declared dead (unblocking peers) and a
 // RankFailure naming itself unwinds to Run, which records it as a root

@@ -111,10 +111,3 @@ func NewBERTProxy(inDim, classes, width, depth int) *Network {
 	layers = append(layers, NewDense("head", width, classes))
 	return NewNetwork(layers...)
 }
-
-// NewSoftmaxRegression builds the single-layer log-linear classifier used
-// by the exact-Hessian sequential-emulation experiment (Figure 2); the
-// analytic Hessian of this model lives in internal/hessian.
-func NewSoftmaxRegression(inDim, classes int) *Network {
-	return NewNetwork(NewDense("linear", inDim, classes))
-}

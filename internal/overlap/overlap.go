@@ -18,9 +18,10 @@
 // launch. The two modes therefore produce bitwise-identical results —
 // the property the trainer's A/B tests pin down — and differ only in
 // virtual time. With collective.StrategyTree the result is additionally
-// bitwise-equal to the host-side adasum.Reducer tree reduction, so the
-// whole bucketed substrate can be verified against the monolithic path
-// at zero tolerance.
+// bitwise-equal to the host-side tree reduction adasum.TreeReduce, and
+// with collective.StrategyLinear to the host mean adasum.MeanReduce, so
+// the whole bucketed substrate can be verified against the monolithic
+// references at zero tolerance.
 package overlap
 
 import (
@@ -47,9 +48,11 @@ type Options struct {
 	// Strategy selects the per-bucket collective on the unified
 	// collective.Strategy axis: StrategyTree (default) and StrategyRVH
 	// run the Adasum combine (host-tree parity and Algorithm 1
-	// respectively); StrategyRing runs the synchronous-SGD mean on the
-	// bandwidth-optimal ring. StrategyAuto resolves to the parity tree —
-	// the deterministic default the A/B harness verifies against.
+	// respectively); StrategyRing and StrategyLinear run the
+	// synchronous-SGD mean, on the bandwidth-optimal ring or on the
+	// group-order chain (host-mean parity). StrategyAuto resolves to the
+	// parity tree — the deterministic default the A/B harness verifies
+	// against.
 	Strategy collective.Strategy
 	// Overlap launches buckets asynchronously against the remaining
 	// backward compute; when false every bucket blocks at launch (the
@@ -222,13 +225,13 @@ func New(opt Options) *Engine {
 		rvhSize = len(opt.Group) / stride
 	}
 	switch opt.strategy() {
-	case collective.StrategyTree, collective.StrategyRing:
+	case collective.StrategyTree, collective.StrategyRing, collective.StrategyLinear:
 	case collective.StrategyRVH:
 		if rvhSize&(rvhSize-1) != 0 {
 			panic(fmt.Sprintf("overlap: StrategyRVH requires a power-of-two reduction group (got %d)", rvhSize))
 		}
 	default:
-		panic(fmt.Sprintf("overlap: per-bucket collectives take StrategyTree, StrategyRVH or StrategyRing (got %v)", opt.Strategy))
+		panic(fmt.Sprintf("overlap: per-bucket collectives take StrategyTree, StrategyRVH, StrategyRing or StrategyLinear (got %v)", opt.Strategy))
 	}
 	total := opt.Layout.TotalSize()
 	layerSec := make([]float64, opt.Layout.NumLayers())
@@ -476,13 +479,14 @@ func (e *Engine) savedStream(slot, stream int) [][]float32 {
 }
 
 // reduceBucket dispatches the bucket's collective on the communicator
-// bound to the async op's endpoint: StrategyRing buckets run the
-// synchronous-SGD mean, everything else the Adasum combine under the
-// communicator's own strategy — hierarchically when a Hierarchy is
-// active. The slot's hierarchy is built on first use (its Split
-// exchanges ride the slot's own plane, so every rank constructs it at
-// the same program point) and rebound to each step's op endpoint
-// afterwards, keeping the level streams' residuals with the slot.
+// bound to the async op's endpoint: StrategyRing and StrategyLinear
+// buckets run the synchronous-SGD mean, everything else the Adasum
+// combine under the communicator's own strategy — hierarchically when
+// a Hierarchy is active. The slot's hierarchy is built on first use
+// (its Split exchanges ride the slot's own plane, so every rank
+// constructs it at the same program point) and rebound to each step's
+// op endpoint afterwards, keeping the level streams' residuals with the
+// slot.
 //
 //adasum:noalloc
 func (e *Engine) reduceBucket(sl *slotState, ap *comm.Proc, g *fusion.Group) {
@@ -526,18 +530,26 @@ func (e *Engine) reduceBucket(sl *slotState, ap *comm.Proc, g *fusion.Group) {
 			// successive ops.
 			sl.hier.SetCodec(sl.c.Stream().Codec())
 		}
-		if c.Strategy() == collective.StrategyRing {
+		if meanStrategy(c.Strategy()) {
 			h.AllreduceMean(g.Data)
 			return
 		}
 		h.Adasum(g.Data, g.Layout)
 		return
 	}
-	if c.Strategy() == collective.StrategyRing {
+	if meanStrategy(c.Strategy()) {
 		c.AllreduceMean(g.Data)
 		return
 	}
 	c.Adasum(g.Data, g.Layout)
+}
+
+// meanStrategy reports whether buckets under strategy s run the
+// synchronous-SGD mean rather than the Adasum combine.
+//
+//adasum:noalloc
+func meanStrategy(s collective.Strategy) bool {
+	return s == collective.StrategyRing || s == collective.StrategyLinear
 }
 
 // SnapshotStreams returns a deep copy of every error-feedback residual

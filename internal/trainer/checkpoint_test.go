@@ -13,10 +13,22 @@ import (
 	"repro/internal/simnet"
 )
 
+// knobs picks the reduction knob set of a test configuration. bare
+// leaves every knob at its default — Net = nil (a free network), the
+// 2 MB fusion threshold, StrategyAuto — and is what the rows named
+// "host" run; simulated adds a TCP cost model, small buckets, backward
+// compute, the RVH collective and the row's codec.
+type knobs bool
+
+const (
+	bare      knobs = false
+	simulated knobs = true
+)
+
 // ckCfg builds a small multi-layer run for the resume property: Adam
-// state (step counter + two moments), several buckets per step on the
-// cluster substrate, mid-epoch checkpoints.
-func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression) Config {
+// state (step counter + two moments), several buckets per step under
+// the simulated knobs, mid-epoch checkpoints.
+func ckCfg(scope Scope, k knobs, overlap bool, codec compress.Compression) Config {
 	train, test := data.GeneratePair(data.Config{
 		N: 512, Dim: 48, Classes: 4, Noise: 0.5, Seed: 51,
 	}, 128)
@@ -26,7 +38,6 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 		Reduction:  ReduceAdasum,
 		Scope:      scope,
 		PerLayer:   true,
-		Comm:       comm,
 		Overlap:    overlap,
 		Model:      func() *nn.Network { return nn.NewMLP(48, 16, 4) },
 		Optimizer:  optim.NewAdam(),
@@ -38,7 +49,7 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 	if scope == LocalSGD {
 		cfg.LocalSteps = 2
 	}
-	if comm == CommCluster {
+	if k == simulated {
 		cfg.FusionBytes = 2048
 		cfg.Net = simnet.TCP40(cfg.Workers)
 		cfg.StepSeconds = 1e-3
@@ -49,7 +60,7 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 }
 
 // TestResumeIsBitwiseIdentical is the checkpoint/resume acceptance
-// property: for every Scope × Comm × codec combination — including
+// property: for every Scope × knob set × codec combination — including
 // top-k with error feedback, whose residuals a naive checkpoint would
 // silently drop — a run that is checkpointed mid-epoch, serialized to
 // bytes, deserialized and resumed in a fresh process-equivalent run
@@ -59,38 +70,38 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 	type combo struct {
 		name    string
 		scope   Scope
-		comm    CommMode
+		knobs   knobs
 		overlap bool
 		codec   compress.Compression
 	}
 	combos := []combo{
-		{"pre/host", PreOptimizer, CommHost, false, nil},
-		{"post/host", PostOptimizer, CommHost, false, nil},
-		{"localsgd/host", LocalSGD, CommHost, false, nil},
-		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
-		{"post/cluster-overlap", PostOptimizer, CommCluster, true, nil},
-		{"localsgd/cluster-overlap", LocalSGD, CommCluster, true, nil},
-		{"pre/cluster-overlap/fp16", PreOptimizer, CommCluster, true, compress.FP16()},
-		{"post/cluster-overlap/int8", PostOptimizer, CommCluster, true, compress.Int8(0)},
-		{"post/cluster-sync/topk-ef", PostOptimizer, CommCluster, false, compress.TopK(0.25, true)},
-		{"post/cluster-overlap/topk-ef", PostOptimizer, CommCluster, true, compress.TopK(0.25, true)},
-		{"localsgd/cluster-overlap/topk-ef", LocalSGD, CommCluster, true, compress.TopK(0.25, true)},
+		{"pre/host", PreOptimizer, bare, false, nil},
+		{"post/host", PostOptimizer, bare, false, nil},
+		{"localsgd/host", LocalSGD, bare, false, nil},
+		{"pre/cluster-sync", PreOptimizer, simulated, false, nil},
+		{"post/cluster-overlap", PostOptimizer, simulated, true, nil},
+		{"localsgd/cluster-overlap", LocalSGD, simulated, true, nil},
+		{"pre/cluster-overlap/fp16", PreOptimizer, simulated, true, compress.FP16()},
+		{"post/cluster-overlap/int8", PostOptimizer, simulated, true, compress.Int8(0)},
+		{"post/cluster-sync/topk-ef", PostOptimizer, simulated, false, compress.TopK(0.25, true)},
+		{"post/cluster-overlap/topk-ef", PostOptimizer, simulated, true, compress.TopK(0.25, true)},
+		{"localsgd/cluster-overlap/topk-ef", LocalSGD, simulated, true, compress.TopK(0.25, true)},
 		// Adaptive policy: the restored run must re-decide the same
 		// codecs, so policy state + last-launch telemetry ride the
 		// checkpoint (Worker.Policy, format v2).
-		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
-		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"post/cluster-sync/adaptive", PostOptimizer, simulated, false, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive", PostOptimizer, simulated, true, compress.Adaptive()},
 	}
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
-			base := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			base := ckCfg(tc.scope, tc.knobs, tc.overlap, tc.codec)
 			uninterrupted := Run(base)
 
 			// Capture a mid-epoch snapshot (step 13 of 16 per epoch),
 			// forcing it through the wire format so the serialization is
 			// part of the property.
 			var blob []byte
-			capCfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			capCfg := ckCfg(tc.scope, tc.knobs, tc.overlap, tc.codec)
 			capCfg.CheckpointEverySteps = 13
 			capCfg.OnCheckpoint = func(s *checkpoint.State) {
 				if s.Step == 13 {
@@ -106,7 +117,7 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 				t.Fatalf("unmarshal: %v", err)
 			}
 
-			resCfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			resCfg := ckCfg(tc.scope, tc.knobs, tc.overlap, tc.codec)
 			resCfg.Resume = state
 			resumed := Run(resCfg)
 
@@ -144,7 +155,7 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 // axis) are part of the restored state.
 func TestResumeUnderFaultsKeepsTimeline(t *testing.T) {
 	mk := func() Config {
-		cfg := ckCfg(PostOptimizer, CommCluster, true, nil)
+		cfg := ckCfg(PostOptimizer, simulated, true, nil)
 		cfg.Net.Faults = &simnet.Faults{
 			SkewFactors: []float64{1, 1.4, 1, 1.1},
 			Jitter:      0.1, JitterSeed: 21,
@@ -178,7 +189,7 @@ func TestResumeUnderFaultsKeepsTimeline(t *testing.T) {
 // TestResumeRejectsWorkerMismatch: a snapshot from a different gang
 // size must be rejected loudly at validation time.
 func TestResumeRejectsWorkerMismatch(t *testing.T) {
-	cfg := ckCfg(PreOptimizer, CommHost, false, nil)
+	cfg := ckCfg(PreOptimizer, bare, false, nil)
 	cfg.Resume = &checkpoint.State{Workers: 8}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected a worker-count mismatch error")

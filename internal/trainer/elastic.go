@@ -30,8 +30,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// FailurePolicy selects how a run reacts to a rank failure on the
-// cluster substrate.
+// FailurePolicy selects how a run reacts to a rank failure.
 type FailurePolicy int
 
 // FailurePolicy values.
@@ -73,10 +72,7 @@ func (p FailurePolicy) String() string {
 func (r *run) elasticStep() (loss, simSec float64) {
 	for {
 		backup := r.efSnapshot()
-		var wireBase int64
-		if r.engine != nil {
-			wireBase = r.engine.world.WireBytes()
-		}
+		wireBase := r.engine.world.WireBytes()
 		loss, simSec, err := r.tryStep()
 		if err == nil {
 			return loss, simSec
@@ -84,14 +80,12 @@ func (r *run) elasticStep() (loss, simSec float64) {
 		// The retry's time base (res.SimSeconds) must sit past the
 		// failure, not pretend the aborted attempt never ran.
 		r.res.SimSeconds += simSec
-		if r.engine != nil {
-			// How far the aborted collective got before every rank
-			// observed the failure is goroutine-schedule-dependent;
-			// rewinding the meter to the attempt boundary keeps wire
-			// accounting deterministic (virtual time is stamped from
-			// the clocks and needs no such correction).
-			r.engine.world.RewindWireBytes(wireBase)
-		}
+		// How far the aborted collective got before every rank observed
+		// the failure is goroutine-schedule-dependent; rewinding the
+		// meter to the attempt boundary keeps wire accounting
+		// deterministic (virtual time is stamped from the clocks and
+		// needs no such correction).
+		r.engine.world.RewindWireBytes(wireBase)
 		r.efRestore(backup)
 		r.handleFailure(err)
 	}
@@ -115,7 +109,7 @@ type efBackup struct {
 // from post-attempt state. GangRestart rewinds from the checkpoint
 // instead, and FailStop never retries, so both skip the copy.
 func (r *run) efSnapshot() *efBackup {
-	if r.engine == nil || r.cfg.OnFailure != ShrinkContinue {
+	if r.cfg.OnFailure != ShrinkContinue {
 		return nil
 	}
 	cdc, pol := compress.Resolve(r.cfg.Compression)
@@ -154,7 +148,7 @@ func (r *run) efRestore(backup *efBackup) {
 // handleFailure absorbs one failed reduction attempt under an elastic
 // policy (FailStop re-raises).
 func (r *run) handleFailure(err *comm.RunError) {
-	if r.cfg.OnFailure == FailStop || r.engine == nil {
+	if r.cfg.OnFailure == FailStop {
 		panic(err)
 	}
 	roots := err.Roots()
@@ -243,18 +237,23 @@ func (r *run) restoreOrInit() {
 		if len(ck.Params) != len(r.params) {
 			panic(fmt.Sprintf("trainer: Resume snapshot has %d params, model has %d", len(ck.Params), len(r.params)))
 		}
-		if int(ck.Step) > r.cfg.MaxEpochs*r.stepsPerEpoch && !r.cfg.ReshapeResume {
-			// Under ReshapeResume this is legitimate: a job migrated up
-			// from a smaller gang (whose per-epoch step budget was
-			// larger) may already have run more steps than this gang
+		// A resume onto a different-sized gang is a migration, not a
+		// replay: it takes the same reshape-safe restore path as a
+		// gang-restart rebuild (fresh iterators over the re-cut shards,
+		// source-only residuals). So does a snapshot of a shrunk run —
+		// more PerWorker entries than live Workers — whatever gang it
+		// lands on: its survivors' cursors index shards re-cut over the
+		// survivors, which no fresh gang reproduces. Only a whole gang's
+		// snapshot resumed at its own size restores bitwise.
+		reshape := ck.Workers != len(r.workers) || len(ck.PerWorker) != ck.Workers
+		if int(ck.Step) > r.cfg.MaxEpochs*r.stepsPerEpoch && !reshape && !r.cfg.ReshapeResume {
+			// A migration may legitimately be past the budget: a job
+			// moved up from a smaller gang (whose per-epoch step budget
+			// was larger) may already have run more steps than this gang
 			// size prescribes. The run restores and is immediately done.
 			panic(fmt.Sprintf("trainer: Resume snapshot at step %d is past this config's %d-step budget", ck.Step, r.cfg.MaxEpochs*r.stepsPerEpoch))
 		}
-		// A ReshapeResume onto a different-sized gang is a migration, not
-		// a replay: it takes the same reshape-safe restore path as a
-		// gang-restart rebuild (fresh iterators over the re-cut shards,
-		// source-only residuals). Equal sizes restore bitwise.
-		r.applyState(ck, ck.Workers != len(r.workers))
+		r.applyState(ck, reshape)
 		r.lastCk = ck
 		return
 	}
@@ -266,9 +265,11 @@ func (r *run) restoreOrInit() {
 // snapshot captures the full training state at the current step
 // boundary: parameters, shared and per-worker optimizer state, iterator
 // positions, error-feedback residuals, and the loop bookkeeping.
+// Workers counts the live gang while PerWorker stays indexed by world
+// rank, so a shrunk run's snapshot says so by its shape.
 func (r *run) snapshot() *checkpoint.State {
 	ck := &checkpoint.State{
-		Workers:        len(r.workers),
+		Workers:        len(r.active),
 		Step:           int64(r.step),
 		SimSeconds:     r.res.SimSeconds,
 		LossSum:        r.lossSum,
@@ -284,12 +285,11 @@ func (r *run) snapshot() *checkpoint.State {
 			continue // dead rank: zero-valued entry
 		}
 		resh, cur := w.iter.State()
-		pw := checkpoint.Worker{Opt: w.opt.Snapshot(), Reshuffles: resh, Cursor: int64(cur)}
-		if r.engine != nil {
-			pw.Residuals = r.engine.engines[rank].SnapshotStreams()
-			pw.Policy = r.engine.engines[rank].SnapshotPolicies()
+		ck.PerWorker[rank] = checkpoint.Worker{
+			Opt: w.opt.Snapshot(), Reshuffles: resh, Cursor: int64(cur),
+			Residuals: r.engine.engines[rank].SnapshotStreams(),
+			Policy:    r.engine.engines[rank].SnapshotPolicies(),
 		}
-		ck.PerWorker[rank] = pw
 	}
 	return ck
 }
@@ -323,9 +323,7 @@ func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 	r.sharedOpt.Restore(ck.Shared)
 	for _, rank := range r.active {
 		if rank >= len(ck.PerWorker) {
-			if r.engine != nil {
-				r.engine.engines[rank].SeekStep(int(ck.Step))
-			}
+			r.engine.engines[rank].SeekStep(int(ck.Step))
 			continue
 		}
 		w := r.workers[rank]
@@ -334,20 +332,19 @@ func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 		if !afterReshape {
 			w.iter.Restore(pw.Reshuffles, int(pw.Cursor))
 		}
-		if r.engine != nil {
-			res := pw.Residuals
-			if afterReshape {
-				// Hop residuals are shaped by the old group's exchange
-				// pattern; only the source-quantization residual (the
-				// fused bucket itself) survives a reshape.
-				res = overlap.TruncateResidualsToSource(res)
-			}
-			r.engine.engines[rank].RestoreStreams(res)
-			// Policy decision state is group-independent (rung, top-k
-			// budget, telemetry memory) and restores whole either way.
-			r.engine.engines[rank].RestorePolicies(pw.Policy)
-			r.engine.engines[rank].SeekStep(int(ck.Step))
+		res := pw.Residuals
+		if afterReshape {
+			// Hop residuals are shaped by the old group's exchange
+			// pattern; only the source-quantization residual (the fused
+			// bucket itself) survives a reshape.
+			res = overlap.TruncateResidualsToSource(res)
 		}
+		e := r.engine.engines[rank]
+		e.RestoreStreams(res)
+		// Policy decision state is group-independent (rung, top-k
+		// budget, telemetry memory) and restores whole either way.
+		e.RestorePolicies(pw.Policy)
+		e.SeekStep(int(ck.Step))
 	}
 	r.step = int(ck.Step)
 	r.lossSum = ck.LossSum

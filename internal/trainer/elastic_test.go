@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/collective"
 	"repro/internal/compress"
 	"repro/internal/data"
@@ -27,7 +28,6 @@ func elasticCfg(workers int) Config {
 		Reduction:   ReduceAdasum,
 		Scope:       PostOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: 4096,
@@ -208,36 +208,6 @@ func TestCrossingStopsAtStepGranularity(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsClusterKnobsOnHost is the regression test for the
-// silent-ignore bug: every cluster-only knob set together with CommHost
-// must come back as a Validate error naming CommCluster (the exact
-// failure mode was `-strategy rvh` without `-comm cluster` silently
-// training on the host tree).
-func TestValidateRejectsClusterKnobsOnHost(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"strategy", func(c *Config) { c.Strategy = collective.StrategyRVH }},
-		{"fusion bytes", func(c *Config) { c.FusionBytes = 2048 }},
-		{"net", func(c *Config) { c.Net = simnet.TCP40(4) }},
-		{"step seconds", func(c *Config) { c.StepSeconds = 1e-3 }},
-		{"hierarchy", func(c *Config) { c.Hierarchy = []int{2} }},
-		{"failure policy", func(c *Config) { c.OnFailure = ShrinkContinue }},
-	}
-	for _, tc := range cases {
-		cfg := overlapCfg(4, CommHost, false)
-		tc.mut(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Fatalf("%s: cluster-only knob accepted under CommHost", tc.name)
-		}
-		if !strings.Contains(err.Error(), "CommCluster") {
-			t.Fatalf("%s: error %q does not point at CommCluster", tc.name, err)
-		}
-	}
-}
-
 // TestValidateElasticKnobs covers the elastic-specific validation:
 // gang restart needs a checkpoint cadence, hierarchy widths must divide
 // the workers, and a resume snapshot must match the worker count.
@@ -334,7 +304,6 @@ func TestHierarchicalRVHNonP2Workers(t *testing.T) {
 		Reduction:   ReduceAdasum,
 		Scope:       PostOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		Hierarchy:   []int{3},
@@ -354,5 +323,62 @@ func TestHierarchicalRVHNonP2Workers(t *testing.T) {
 	res := Run(cfg) // must not panic in overlap.New
 	if res.FinalWorkers != 24 {
 		t.Fatalf("run did not complete on 24 workers: %d", res.FinalWorkers)
+	}
+}
+
+// TestShrunkSnapshotResumes is the regression test for resuming a
+// shrunk run: a 16-rank run loses ranks 1–7, is snapshotted on its 9
+// survivors and resumes — with the serving layer's ReshapeResume rule —
+// on a gang of the original size and on one of the survivor size. Both
+// must take the reshape restore whatever the gang: the survivors'
+// iterator cursors index shards re-cut over 9 workers, so replaying
+// them bitwise on a fresh gang panicked in data.Iterator.Restore.
+func TestShrunkSnapshotResumes(t *testing.T) {
+	cfg := elasticCfg(16)
+	cfg.OnFailure = ShrinkContinue
+	failAt := map[int]float64{}
+	for rank := 1; rank <= 7; rank++ {
+		failAt[rank] = 12e-3
+	}
+	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: failAt}
+	h := Start(cfg)
+	for i := 0; i < 24; i++ {
+		if !h.Step() {
+			t.Fatal("run finished before the snapshot point")
+		}
+	}
+	if h.Workers() != 9 {
+		t.Fatalf("gang shrank to %d workers, want 9", h.Workers())
+	}
+	ck, err := checkpoint.Unmarshal(h.Snapshot().Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{16, 9} {
+		rc := elasticCfg(n)
+		if n&(n-1) != 0 {
+			rc.Strategy = collective.StrategyTree // RVH needs a power-of-two gang
+		}
+		rc.Resume = ck
+		rc.ReshapeResume = ck.Workers != n
+		if err := rc.Validate(); err != nil {
+			t.Fatalf("resume on %d workers: %v", n, err)
+		}
+		rh := Start(rc)
+		if got := rh.CompletedSteps(); got != 24 {
+			t.Fatalf("resume on %d workers restored step %d, want 24", n, got)
+		}
+		for rh.Step() {
+		}
+		res := rh.Result()
+		if res.FinalWorkers != n {
+			t.Fatalf("resumed on %d workers, finished with %d", n, res.FinalWorkers)
+		}
+		if res.SimSeconds <= ck.SimSeconds {
+			t.Fatalf("resume on %d workers charged no time past the snapshot", n)
+		}
+		if res.FinalAccuracy < 0.9 {
+			t.Fatalf("resume on %d workers failed to keep converging: %v", n, res.FinalAccuracy)
+		}
 	}
 }

@@ -12,35 +12,29 @@ import (
 )
 
 // overlapCfg is a small but multi-layer training setup shared by the
-// comm-mode equivalence tests. Cluster-only knobs are set only on the
-// cluster substrate — Validate now rejects them under CommHost instead
-// of silently ignoring them.
-func overlapCfg(workers int, mode CommMode, over bool) Config {
+// bucket-engine tests: a TCP cost model, backward compute and a small
+// fusion threshold so several buckets form per step.
+func overlapCfg(workers int, over bool) Config {
 	train, test := data.GeneratePair(data.Config{
 		N: 512, Dim: 96, Classes: 6, Noise: 0.5, Seed: 21,
 	}, 128)
-	cfg := Config{
-		Workers:    workers,
-		Microbatch: 8,
-		Reduction:  ReduceAdasum,
-		Scope:      PreOptimizer,
-		PerLayer:   true,
-		Comm:       mode,
-		Overlap:    over,
-		Model:      func() *nn.Network { return nn.NewMLP(96, 24, 6) },
-		Optimizer:  optim.NewMomentum(0.9),
-		Schedule:   optim.Constant{Base: 0.05},
-		Train:      train, Test: test,
+	return Config{
+		Workers:     workers,
+		Microbatch:  8,
+		Reduction:   ReduceAdasum,
+		Scope:       PreOptimizer,
+		PerLayer:    true,
+		Overlap:     over,
+		FusionBytes: 2048,
+		Net:         simnet.TCP40(workers),
+		StepSeconds: 1e-3,
+		Model:       func() *nn.Network { return nn.NewMLP(96, 24, 6) },
+		Optimizer:   optim.NewMomentum(0.9),
+		Schedule:    optim.Constant{Base: 0.05},
+		Train:       train, Test: test,
 		MaxEpochs: 2,
 		Seed:      11,
 	}
-	if mode == CommCluster {
-		// Small threshold so several buckets form per step.
-		cfg.FusionBytes = 2048
-		cfg.Net = simnet.TCP40(workers)
-		cfg.StepSeconds = 1e-3
-	}
-	return cfg
 }
 
 // TestOverlapStepBitwiseEqualsSyncStep is the trainer-level overlap-
@@ -53,9 +47,9 @@ func TestOverlapStepBitwiseEqualsSyncStep(t *testing.T) {
 		workers int
 		strat   collective.Strategy
 	}{{4, collective.StrategyTree}, {5, collective.StrategyTree}, {4, collective.StrategyRVH}, {8, collective.StrategyRVH}} {
-		syncCfg := overlapCfg(tc.workers, CommCluster, false)
+		syncCfg := overlapCfg(tc.workers, false)
 		syncCfg.Strategy = tc.strat
-		overCfg := overlapCfg(tc.workers, CommCluster, true)
+		overCfg := overlapCfg(tc.workers, true)
 		overCfg.Strategy = tc.strat
 		syncRes := Run(syncCfg)
 		overRes := Run(overCfg)
@@ -69,46 +63,13 @@ func TestOverlapStepBitwiseEqualsSyncStep(t *testing.T) {
 	}
 }
 
-// TestBucketedTreeBitwiseEqualsHostPath pins the bucketed substrate to
-// the monolithic host reducer: with StrategyTree the collective run is
-// bitwise-identical to the CommHost run — same buckets or not, same
-// floats.
-func TestBucketedTreeBitwiseEqualsHostPath(t *testing.T) {
-	for _, workers := range []int{2, 3, 4} {
-		host := Run(overlapCfg(workers, CommHost, false))
-		for _, over := range []bool{false, true} {
-			got := Run(overlapCfg(workers, CommCluster, over))
-			if !tensor.Equal(got.FinalParams, host.FinalParams, 0) {
-				t.Fatalf("workers=%d overlap=%v: bucketed params not bitwise-equal to host path", workers, over)
-			}
-		}
-	}
-}
-
-// TestBucketedSumMatchesHostMean checks the sync-SGD path through the
-// ring collective against the host mean at float tolerance (the ring's
-// summation order legitimately differs).
-func TestBucketedSumMatchesHostMean(t *testing.T) {
-	mk := func(mode CommMode, over bool) Config {
-		cfg := overlapCfg(4, mode, over)
-		cfg.Reduction = ReduceSum
-		cfg.PerLayer = false
-		return cfg
-	}
-	host := Run(mk(CommHost, false))
-	over := Run(mk(CommCluster, true))
-	if !tensor.Equal(host.FinalParams, over.FinalParams, 1e-4) {
-		t.Fatalf("bucketed ring-sum run diverged from host mean run beyond tolerance")
-	}
-}
-
 // TestOverlapSimTimeBelowSyncUnderInterNodeModel is the virtual-clock
 // acceptance property on the slow-interconnect cluster: overlapping
 // communication with backprop must shorten the simulated run, and the
 // overlapped run can never beat its own compute floor.
 func TestOverlapSimTimeBelowSyncUnderInterNodeModel(t *testing.T) {
-	syncRes := Run(overlapCfg(4, CommCluster, false))
-	overRes := Run(overlapCfg(4, CommCluster, true))
+	syncRes := Run(overlapCfg(4, false))
+	overRes := Run(overlapCfg(4, true))
 	if overRes.SimSeconds >= syncRes.SimSeconds {
 		t.Fatalf("overlap sim time %v not below sync %v", overRes.SimSeconds, syncRes.SimSeconds)
 	}
@@ -119,24 +80,12 @@ func TestOverlapSimTimeBelowSyncUnderInterNodeModel(t *testing.T) {
 	}
 }
 
-// TestBucketedAdasumRequiresPerLayer documents the §3.6 gate.
-func TestBucketedAdasumRequiresPerLayer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bucketed whole-gradient Adasum")
-		}
-	}()
-	cfg := overlapCfg(4, CommCluster, true)
-	cfg.PerLayer = false
-	Run(cfg)
-}
-
 // TestBucketedAdasumRejectsRingSum documents that the mean combiner
 // cannot be selected for an Adasum reduction: StrategyRing would
 // silently replace the Adasum combine with plain averaging. The reject
 // surfaces as a Validate error first, then as Run's panic.
 func TestBucketedAdasumRejectsRingSum(t *testing.T) {
-	cfg := overlapCfg(4, CommCluster, true)
+	cfg := overlapCfg(4, true)
 	cfg.Strategy = collective.StrategyRing
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected Validate error for ReduceAdasum with StrategyRing")
@@ -153,7 +102,7 @@ func TestBucketedAdasumRejectsRingSum(t *testing.T) {
 // StrategyRVH must not be silently replaced by the ring collective when
 // the reduction is a sum.
 func TestBucketedSumRejectsRVH(t *testing.T) {
-	cfg := overlapCfg(4, CommCluster, true)
+	cfg := overlapCfg(4, true)
 	cfg.Reduction = ReduceSum
 	cfg.PerLayer = false
 	cfg.Strategy = collective.StrategyRVH

@@ -11,7 +11,7 @@ import (
 // simnet's parallel rank execution: rank goroutines really run
 // concurrently (per-rank sharded buffer pool and wire meter, no global
 // serialization), so the Go scheduler interleaves them differently at
-// every GOMAXPROCS — and none of it may show. For every Scope x Comm x
+// every GOMAXPROCS — and none of it may show. For every Scope x knob set x
 // codec combination (including top-k with error feedback, whose
 // residual state is the easiest thing to corrupt with a misordered
 // reduction), a full training run at GOMAXPROCS=1 and at a wide
@@ -23,37 +23,37 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 	type combo struct {
 		name    string
 		scope   Scope
-		comm    CommMode
+		knobs   knobs
 		overlap bool
 		codec   compress.Compression
 	}
 	combos := []combo{
-		{"pre/host", PreOptimizer, CommHost, false, nil},
-		{"post/host", PostOptimizer, CommHost, false, nil},
-		{"localsgd/host", LocalSGD, CommHost, false, nil},
-		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
-		{"post/cluster-overlap", PostOptimizer, CommCluster, true, nil},
-		{"localsgd/cluster-overlap", LocalSGD, CommCluster, true, nil},
-		{"pre/cluster-overlap/fp16", PreOptimizer, CommCluster, true, compress.FP16()},
-		{"post/cluster-overlap/int8", PostOptimizer, CommCluster, true, compress.Int8(0)},
-		{"post/cluster-sync/topk-ef", PostOptimizer, CommCluster, false, compress.TopK(0.25, true)},
-		{"post/cluster-overlap/topk-ef", PostOptimizer, CommCluster, true, compress.TopK(0.25, true)},
-		{"localsgd/cluster-overlap/topk-ef", LocalSGD, CommCluster, true, compress.TopK(0.25, true)},
+		{"pre/host", PreOptimizer, bare, false, nil},
+		{"post/host", PostOptimizer, bare, false, nil},
+		{"localsgd/host", LocalSGD, bare, false, nil},
+		{"pre/cluster-sync", PreOptimizer, simulated, false, nil},
+		{"post/cluster-overlap", PostOptimizer, simulated, true, nil},
+		{"localsgd/cluster-overlap", LocalSGD, simulated, true, nil},
+		{"pre/cluster-overlap/fp16", PreOptimizer, simulated, true, compress.FP16()},
+		{"post/cluster-overlap/int8", PostOptimizer, simulated, true, compress.Int8(0)},
+		{"post/cluster-sync/topk-ef", PostOptimizer, simulated, false, compress.TopK(0.25, true)},
+		{"post/cluster-overlap/topk-ef", PostOptimizer, simulated, true, compress.TopK(0.25, true)},
+		{"localsgd/cluster-overlap/topk-ef", LocalSGD, simulated, true, compress.TopK(0.25, true)},
 		// Adaptive policy: the codec decision itself must be a pure
 		// function of rank-private telemetry for these to hold.
-		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
-		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"post/cluster-sync/adaptive", PostOptimizer, simulated, false, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive", PostOptimizer, simulated, true, compress.Adaptive()},
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
-			serial := Run(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			serial := Run(ckCfg(tc.scope, tc.knobs, tc.overlap, tc.codec))
 			// Wider than any plausible host so the scheduler has real
 			// freedom even when the machine itself is narrow.
 			runtime.GOMAXPROCS(8)
-			wide := Run(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			wide := Run(ckCfg(tc.scope, tc.knobs, tc.overlap, tc.codec))
 			runtime.GOMAXPROCS(prev)
 
 			if len(serial.FinalParams) != len(wide.FinalParams) {

@@ -15,16 +15,21 @@
 //     between reductions, trading algorithmic for system efficiency on
 //     slow interconnects.
 //
-// The harness measures algorithmic efficiency (epochs/steps to a target
-// accuracy); system efficiency comes from the simnet cost model and is
-// composed with these results by the experiments package.
+// Every reduction runs as bucketed collectives on a simulated cluster
+// whose ranks are the workers (internal/overlap): Adasum over the
+// parity tree (bitwise-equal to adasum.TreeReduce) or Algorithm 1, the
+// synchronous-SGD mean over the group-order chain (bitwise-equal to
+// adasum.MeanReduce) or the ring. Net = nil simulates a free network,
+// so a run without a cost model measures algorithmic efficiency alone
+// (epochs/steps to a target accuracy); with one, Result.SimSeconds adds
+// the system side, which the experiments package composes with it.
 //
-// On the cluster substrate the harness is elastic: injected stragglers
-// stretch simulated step time without touching the floats, a rank
-// failure is absorbed by the OnFailure policy (shrink-and-continue or
-// gang-restart on the survivors — see elastic.go), and
-// CheckpointEverySteps/Resume give deterministic checkpoint/restart
-// whose resumed runs are bitwise-identical to uninterrupted ones.
+// The harness is elastic: injected stragglers stretch simulated step
+// time without touching the floats, a rank failure is absorbed by the
+// OnFailure policy (shrink-and-continue or gang-restart on the
+// survivors — see elastic.go), and CheckpointEverySteps/Resume give
+// deterministic checkpoint/restart whose resumed runs are
+// bitwise-identical to uninterrupted ones.
 package trainer
 
 import (
@@ -33,7 +38,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/adasum"
 	"repro/internal/checkpoint"
 	"repro/internal/collective"
 	"repro/internal/comm"
@@ -68,33 +72,16 @@ func (r Reduction) String() string {
 	return "sum"
 }
 
-// CommMode selects the substrate the reduction executes on — and only
-// the substrate. Scheduling (Config.Overlap) and the collective
-// algorithm (Config.Strategy) are orthogonal knobs; they used to be
-// folded into this enum and a separate BucketAlgo.
+// CommMode is the type of the deprecated Config.Comm field.
+//
+// Deprecated: there is one substrate — every run reduces through the
+// bucketed collectives — so Config.Comm is ignored.
 type CommMode int
 
-// CommMode values.
-const (
-	// CommHost combines contributions with the in-process adasum.Reducer
-	// — no communication is simulated (the seed behaviour, and the
-	// algorithmic-efficiency default).
-	CommHost CommMode = iota
-	// CommCluster runs the reduction as bucketed collectives on a
-	// simulated cluster (workers become comm ranks) through per-rank
-	// communicators. Buckets block at launch unless Config.Overlap
-	// schedules them against the remaining backward compute (§4.4.3);
-	// either way the results are bitwise-identical — only the simulated
-	// step time differs.
-	CommCluster
-)
-
-func (m CommMode) String() string {
-	if m == CommCluster {
-		return "cluster"
-	}
-	return "host"
-}
+// CommCluster names the bucketed substrate, now the only one.
+//
+// Deprecated: Config.Comm is ignored; leave it unset.
+const CommCluster CommMode = 1
 
 // Scope selects where the reduction happens relative to the optimizer.
 type Scope int
@@ -131,22 +118,25 @@ type Config struct {
 
 	Reduction Reduction
 	Scope     Scope
-	PerLayer  bool // per-layer Adasum (§3.6); false = whole-gradient
+	// PerLayer selects per-layer Adasum (§3.6). false combines the whole
+	// gradient as one segment, which the engine reduces as one bucket.
+	// The mean ignores it.
+	PerLayer bool
 
-	// Comm selects the reduction substrate. CommCluster requires
-	// PerLayer for Adasum (bucket boundaries must not change the
-	// combine's segmentation, §3.6) and accepts the knobs below.
+	// Comm is ignored.
+	//
+	// Deprecated: there is one substrate; see CommMode.
 	Comm CommMode
 	// Overlap schedules each bucket's collective asynchronously against
 	// the remaining backward compute (§4.4.3) — the overlapped step
 	// loop. Results are bitwise-identical with and without Overlap; only
-	// the simulated step time differs. CommCluster only.
+	// the simulated step time differs.
 	Overlap bool
-	// FusionBytes is the bucket threshold of the cluster substrate
-	// (<= 0 selects the 2 MB Horovod default).
+	// FusionBytes is the bucket threshold (<= 0 selects the 2 MB Horovod
+	// default).
 	FusionBytes int
-	// Net is the simnet cost model for virtual-time accounting on the
-	// cluster substrate; nil simulates a free network (correctness only).
+	// Net is the simnet cost model for virtual-time accounting; nil
+	// simulates a free network (correctness only).
 	Net *simnet.Model
 	// StepSeconds is the simulated forward+backward time of one local
 	// step, overlapped against communication when Overlap is set and
@@ -154,37 +144,35 @@ type Config struct {
 	StepSeconds float64
 	// Strategy selects the per-bucket collective on the unified
 	// collective.Strategy axis. For ReduceAdasum: StrategyTree (the
-	// StrategyAuto default) is bitwise-equal to the CommHost tree,
-	// StrategyRVH is the paper's Algorithm 1, and StrategyRing is
-	// rejected — a ring sum would silently replace the adaptive combine.
-	// For ReduceSum only StrategyRing (or Auto) is accepted.
-	// CommCluster only.
+	// StrategyAuto default) is bitwise-equal to adasum.TreeReduce,
+	// StrategyRVH is the paper's Algorithm 1, and StrategyRing and
+	// StrategyLinear are rejected — a sum would silently replace the
+	// adaptive combine. For ReduceSum: StrategyLinear (the StrategyAuto
+	// default) is bitwise-equal to adasum.MeanReduce, StrategyRing is
+	// the bandwidth-optimal ring; under a Hierarchy the mean runs rings
+	// at every level whichever of the two is set.
 	Strategy collective.Strategy
-	// Compression is the unified compression knob of the cluster
-	// substrate — the same field name collective.Config and
-	// overlap.Options carry. A compress.Codec fixes one wire format:
-	// bucket payloads are quantized at launch and every collective hop
-	// carries encoded words, so the simulated clock and wire-byte meter
-	// see compressed sizes (error-feedback codecs keep their residuals
-	// per worker across steps). A compress.Policy picks the codec per
+	// Compression is the unified compression knob — the same field name
+	// collective.Config and overlap.Options carry. A compress.Codec fixes
+	// one wire format: bucket payloads are quantized at launch and every
+	// collective hop carries encoded words, so the simulated clock and
+	// wire-byte meter see compressed sizes (error-feedback codecs keep
+	// their residuals per worker across steps). A compress.Policy picks the codec per
 	// bucket launch from rank-private telemetry; its decision state
 	// rides checkpoints so resumed runs stay bitwise-identical. nil or
 	// compress.None() leaves the substrate bitwise-identical to the
-	// uncompressed paths; compression requires CommCluster (the host
-	// path has no wire to compress).
+	// uncompressed paths.
 	Compression compress.Compression
 	// Hierarchy, when non-empty, reduces each bucket hierarchically
 	// (collective.NewHierarchy widths: e.g. {4} sums within 4-GPU nodes
 	// before the cross-node combine, {4, 2} adds racks of 2 nodes). The
-	// product of widths must divide Workers. CommCluster only.
+	// product of widths must divide Workers.
 	Hierarchy []int
 
-	// OnFailure selects the reaction to a rank failure on the cluster
-	// substrate — injected through Net.Faults.FailAtSeconds or a genuine
-	// worker panic. The zero value FailStop re-raises the failure; the
-	// elastic policies rebuild on the survivors and keep training. See
-	// FailurePolicy. CommCluster only (the host reducer has no ranks to
-	// lose).
+	// OnFailure selects the reaction to a rank failure — injected
+	// through Net.Faults.FailAtSeconds or a genuine worker panic. The
+	// zero value FailStop re-raises the failure; the elastic policies
+	// rebuild on the survivors and keep training. See FailurePolicy.
 	OnFailure FailurePolicy
 	// CheckpointEverySteps > 0 captures a full training snapshot every n
 	// reduction steps; OnCheckpoint (when set) receives each one.
@@ -281,7 +269,7 @@ type Result struct {
 	StepsPerEpoch  int
 	FinalParams    []float32 // trained model snapshot (phase chaining)
 	// SimSeconds is the cumulative simulated wall-clock of the reduction
-	// steps under Net (bucketed comm modes only; 0 for CommHost).
+	// steps under Net and StepSeconds (0 when both are unset).
 	SimSeconds float64
 	// Failures lists the rank-failure incidents absorbed under an
 	// elastic OnFailure policy, in step order.
@@ -303,11 +291,10 @@ type worker struct {
 
 // Validate checks the configuration and reports the first problem as an
 // error, covering everything Run would otherwise panic on: required
-// fields, substrate/knob compatibility (bucketed Adasum needs PerLayer,
-// lossy codecs need a wire, strategy/reduction agreement). Callers that
-// assemble configs from user input — the cmds — validate first and
-// report cleanly; Run still panics on an invalid config, programmer
-// error by then.
+// fields, strategy/reduction agreement, hierarchy and failure-policy
+// shape. Callers that assemble configs from user input — the cmds —
+// validate first and report cleanly; Run still panics on an invalid
+// config, programmer error by then.
 func (c Config) Validate() error {
 	if c.Workers <= 0 || c.Microbatch <= 0 {
 		return fmt.Errorf("Workers and Microbatch must be positive (got %d, %d)", c.Workers, c.Microbatch)
@@ -326,72 +313,35 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("Compression must be a compress.Codec or a compress.Policy (got %T)", c.Compression)
 	}
-	compCodec, compPolicy := compress.Resolve(c.Compression)
-	switch c.Comm {
-	case CommHost:
-		// Cluster-only knobs are rejected loudly: they used to be
-		// silently ignored, so `-strategy rvh` without `-comm cluster`
-		// trained on the host tree with no diagnostic.
-		if compCodec != nil || compPolicy != nil {
-			return fmt.Errorf("Compression requires Comm = CommCluster; the host path has no wire to compress")
-		}
-		if c.Overlap {
-			return fmt.Errorf("Overlap requires Comm = CommCluster; the host path has no communication to overlap")
-		}
-		if c.Strategy != collective.StrategyAuto {
-			return fmt.Errorf("Strategy %v requires Comm = CommCluster; the host reducer runs no bucket collectives", c.Strategy)
-		}
-		if c.FusionBytes != 0 {
-			return fmt.Errorf("FusionBytes requires Comm = CommCluster; the host reducer does not bucket")
-		}
-		if c.Net != nil {
-			return fmt.Errorf("Net requires Comm = CommCluster; the host path simulates no communication")
-		}
-		if c.StepSeconds != 0 {
-			return fmt.Errorf("StepSeconds requires Comm = CommCluster; the host path keeps no virtual clock")
-		}
-		if len(c.Hierarchy) > 0 {
-			return fmt.Errorf("Hierarchy requires Comm = CommCluster; the host reducer has no communicators to split")
-		}
-		if c.OnFailure != FailStop {
-			return fmt.Errorf("OnFailure %v requires Comm = CommCluster; the host reducer has no ranks to lose", c.OnFailure)
-		}
-	case CommCluster:
-		if c.Reduction == ReduceAdasum && !c.PerLayer {
-			return fmt.Errorf("bucketed Adasum requires PerLayer (bucket boundaries must not change the combine's segmentation, §3.6)")
-		}
-		strat, err := c.bucketStrategy()
-		if err != nil {
-			return err
-		}
-		outer := c.Workers
-		if len(c.Hierarchy) > 0 {
-			stride := 1
-			for _, w := range c.Hierarchy {
-				if w <= 0 {
-					return fmt.Errorf("Hierarchy widths must be positive (got %v)", c.Hierarchy)
-				}
-				stride *= w
+	strat, err := c.bucketStrategy()
+	if err != nil {
+		return err
+	}
+	outer := c.Workers
+	if len(c.Hierarchy) > 0 {
+		stride := 1
+		for _, w := range c.Hierarchy {
+			if w <= 0 {
+				return fmt.Errorf("Hierarchy widths must be positive (got %v)", c.Hierarchy)
 			}
-			if c.Workers%stride != 0 {
-				return fmt.Errorf("Hierarchy widths %v do not divide Workers = %d", c.Hierarchy, c.Workers)
-			}
-			outer = c.Workers / stride
+			stride *= w
 		}
-		if strat == collective.StrategyRVH && outer&(outer-1) != 0 {
-			return fmt.Errorf("StrategyRVH requires a power-of-two reduction group (got %d)", outer)
+		if c.Workers%stride != 0 {
+			return fmt.Errorf("Hierarchy widths %v do not divide Workers = %d", c.Hierarchy, c.Workers)
 		}
-		switch c.OnFailure {
-		case FailStop, ShrinkContinue:
-		case GangRestart:
-			if c.CheckpointEverySteps <= 0 {
-				return fmt.Errorf("GangRestart requires CheckpointEverySteps > 0 (there is nothing to restart from)")
-			}
-		default:
-			return fmt.Errorf("unknown FailurePolicy %d", c.OnFailure)
+		outer = c.Workers / stride
+	}
+	if strat == collective.StrategyRVH && outer&(outer-1) != 0 {
+		return fmt.Errorf("StrategyRVH requires a power-of-two reduction group (got %d)", outer)
+	}
+	switch c.OnFailure {
+	case FailStop, ShrinkContinue:
+	case GangRestart:
+		if c.CheckpointEverySteps <= 0 {
+			return fmt.Errorf("GangRestart requires CheckpointEverySteps > 0 (there is nothing to restart from)")
 		}
 	default:
-		return fmt.Errorf("unknown CommMode %d", c.Comm)
+		return fmt.Errorf("unknown FailurePolicy %d", c.OnFailure)
 	}
 	if c.Resume != nil && c.Resume.Workers != c.Workers && !c.ReshapeResume {
 		return fmt.Errorf("Resume snapshot was captured with %d workers, config has %d (set ReshapeResume to migrate across gang sizes)", c.Resume.Workers, c.Workers)
@@ -399,15 +349,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// bucketStrategy resolves Config.Strategy against the reduction for the
-// cluster substrate.
+// bucketStrategy resolves Config.Strategy against the reduction. Auto
+// picks the collective whose arithmetic matches the host-side reference
+// bitwise: the group-order chain for the mean, the tree for Adasum.
 func (c Config) bucketStrategy() (collective.Strategy, error) {
 	if c.Reduction == ReduceSum {
 		switch c.Strategy {
-		case collective.StrategyAuto, collective.StrategyRing:
+		case collective.StrategyAuto, collective.StrategyLinear:
+			return collective.StrategyLinear, nil
+		case collective.StrategyRing:
 			return collective.StrategyRing, nil
 		default:
-			return 0, fmt.Errorf("Strategy %v selects an Adasum bucket collective; ReduceSum buckets run StrategyRing", c.Strategy)
+			return 0, fmt.Errorf("Strategy %v selects an Adasum bucket collective; ReduceSum buckets run StrategyLinear or StrategyRing", c.Strategy)
 		}
 	}
 	switch c.Strategy {
@@ -415,8 +368,8 @@ func (c Config) bucketStrategy() (collective.Strategy, error) {
 		return collective.StrategyTree, nil
 	case collective.StrategyRVH:
 		return collective.StrategyRVH, nil
-	case collective.StrategyRing:
-		return 0, fmt.Errorf("Strategy %v is the ReduceSum combiner; ReduceAdasum buckets take StrategyTree or StrategyRVH", c.Strategy)
+	case collective.StrategyRing, collective.StrategyLinear:
+		return 0, fmt.Errorf("Strategy %v is a ReduceSum combiner; ReduceAdasum buckets take StrategyTree or StrategyRVH", c.Strategy)
 	default:
 		return 0, fmt.Errorf("Strategy %v is not a bucket collective; ReduceAdasum buckets take StrategyTree or StrategyRVH", c.Strategy)
 	}
@@ -508,13 +461,8 @@ func (h *Handle) Workers() int { return len(h.r.active) }
 func (h *Handle) Failures() []FailureEvent { return h.r.res.Failures }
 
 // WireBytes returns the cumulative bytes shipped on the run's simulated
-// fabric (0 on the host substrate).
-func (h *Handle) WireBytes() int64 {
-	if h.r.engine == nil {
-		return 0
-	}
-	return h.r.engine.world.WireBytes()
-}
+// fabric.
+func (h *Handle) WireBytes() int64 { return h.r.engine.world.WireBytes() }
 
 // Snapshot captures a full checkpoint at the current step boundary —
 // the preemption protocol's Marshal point. The returned state is a deep
@@ -549,9 +497,8 @@ type run struct {
 	active  []int
 
 	sharedOpt optim.Optimizer // pre-optimizer scope state
-	// red, contributions and losses are per-run scratch reused every
+	// engine, contributions and losses are per-run state reused every
 	// step so the steady-state combine phase allocates nothing.
-	red           *adasum.Reducer
 	engine        *commEngine
 	contributions [][]float32 // indexed by world rank
 	losses        []float64   // indexed by world rank
@@ -575,6 +522,13 @@ func newRun(cfg Config) *run {
 	}
 	layout := master.Layout()
 	nParams := master.NumParams()
+	// Whole-gradient Adasum is per-layer Adasum over a one-layer layout,
+	// which the engine keeps as a single bucket. The mean is layout-free
+	// and keeps the per-layer buckets that overlap with backprop.
+	redLayout := layout
+	if cfg.Reduction == ReduceAdasum && !cfg.PerLayer {
+		redLayout = tensor.FlatLayout(nParams)
+	}
 
 	workers := make([]*worker, cfg.Workers)
 	active := make([]int, cfg.Workers)
@@ -604,8 +558,7 @@ func newRun(cfg Config) *run {
 		workers:       workers,
 		active:        active,
 		sharedOpt:     cfg.Optimizer.Clone(),
-		red:           adasum.NewReducer(),
-		engine:        newCommEngine(cfg, layout),
+		engine:        newCommEngine(cfg, redLayout),
 		contributions: make([][]float32, cfg.Workers),
 		losses:        make([]float64, cfg.Workers),
 		res:           &Result{EpochsToTarget: -1, StepsToTarget: -1, StepsPerEpoch: stepsPerEpoch},
@@ -683,9 +636,8 @@ func (r *run) recordEpoch(epoch int, acc float64) {
 // tryStep performs one full reduction step attempt (LocalSteps local
 // steps on every active worker followed by the combine) and returns the
 // mean local train loss plus the simulated step seconds. A rank failure
-// on the cluster substrate comes back as the RunError with parameters
-// untouched — the attempt updated nothing, so a retry on the survivors
-// is clean.
+// comes back as the RunError with parameters untouched — the attempt
+// updated nothing, so a retry on the survivors is clean.
 func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	cfg := r.cfg
 	lr := cfg.Schedule.LR(r.step)
@@ -743,30 +695,15 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 		cfg.Hook(r.step, r.hookContributions(), r.layout)
 	}
 
-	redLayout := r.layout
-	if !cfg.PerLayer {
-		redLayout = tensor.FlatLayout(len(r.params))
+	// The combined result overwrites the contributions in place and is
+	// consumed immediately by the parameter update below.
+	simSec, err := r.engine.reduce(r.contributions, r.active, r.res.SimSeconds, r.step)
+	if err != nil {
+		// simSec is the aborted attempt's elapsed virtual time; the
+		// caller charges it so failures are visible in SimSeconds.
+		return 0, simSec, err
 	}
-
-	// The combined result lives in the Reducer's workspace (host mode)
-	// or overwrites the contributions in place (bucketed modes); either
-	// way it is consumed immediately by the parameter update below.
-	var combined []float32
-	switch {
-	case r.engine != nil:
-		var err *comm.RunError
-		simSec, err = r.engine.reduce(r.contributions, r.active, r.res.SimSeconds, r.step)
-		if err != nil {
-			// simSec is the aborted attempt's elapsed virtual time; the
-			// caller charges it so failures are visible in SimSeconds.
-			return 0, simSec, err
-		}
-		combined = r.contributions[r.active[0]]
-	case cfg.Reduction == ReduceAdasum:
-		combined = r.red.TreeReduce(r.contributions, redLayout)
-	default:
-		combined = r.red.MeanReduce(r.contributions)
-	}
+	combined := r.contributions[r.active[0]]
 	switch cfg.Scope {
 	case PreOptimizer:
 		r.sharedOpt.Step(r.params, combined, lr)
@@ -795,22 +732,19 @@ func (r *run) hookContributions() [][]float32 {
 	return out
 }
 
-// commEngine bundles the bucketed-reduction substrate of one run: the
-// simulated cluster whose ranks are the workers, plus one
-// overlap.Engine per rank, all reused across steps. After a failure the
-// substrate is rebuilt over the survivors (rebuild, elastic.go).
+// commEngine bundles the reduction substrate of one run: the simulated
+// cluster whose ranks are the workers, plus one overlap.Engine per
+// rank, all reused across steps. After a failure the substrate is
+// rebuilt over the survivors (rebuild, elastic.go).
 type commEngine struct {
 	world   *comm.World
 	engines []*overlap.Engine
 	clocks  []float64 // per-rank final clocks of the last reduce
 }
 
-// newCommEngine builds the substrate for CommCluster, or returns nil
-// for CommHost. The config has already been validated by Run.
+// newCommEngine builds the substrate over the reduction layout. The
+// config has already been validated by Start.
 func newCommEngine(cfg Config, layout tensor.Layout) *commEngine {
-	if cfg.Comm == CommHost {
-		return nil
-	}
 	strategy, err := cfg.bucketStrategy()
 	if err != nil {
 		panic("trainer: " + err.Error())

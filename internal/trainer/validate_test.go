@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/compress"
 )
 
 // fakeCompression satisfies the Compression interface without being a
@@ -19,13 +18,9 @@ func (fakeCompression) String() string { return "bogus" }
 // descriptive error from Validate (so cmds can report it cleanly)
 // while a valid one passes.
 func TestConfigValidate(t *testing.T) {
-	valid := overlapCfg(4, CommCluster, true)
+	valid := overlapCfg(4, true)
 	if err := valid.Validate(); err != nil {
-		t.Fatalf("valid cluster config rejected: %v", err)
-	}
-	hostValid := overlapCfg(4, CommHost, false)
-	if err := hostValid.Validate(); err != nil {
-		t.Fatalf("valid host config rejected: %v", err)
+		t.Fatalf("valid config rejected: %v", err)
 	}
 
 	cases := []struct {
@@ -36,32 +31,18 @@ func TestConfigValidate(t *testing.T) {
 		{"no workers", func(c *Config) { c.Workers = 0 }, "Workers"},
 		{"no model", func(c *Config) { c.Model = nil }, "required"},
 		{"no data", func(c *Config) { c.Train = nil }, "datasets"},
-		{"host compression", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = false
-			c.Compression = compress.FP16()
-		}, "no wire"},
-		{"host adaptive compression", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = false
-			c.Compression = compress.Adaptive()
-		}, "no wire"},
 		{"foreign compression type", func(c *Config) {
 			c.Compression = fakeCompression{}
 		}, "Codec or a compress.Policy"},
-		{"host overlap", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = true
-		}, "no communication to overlap"},
-		{"whole-gradient bucketed adasum", func(c *Config) { c.PerLayer = false }, "PerLayer"},
 		{"adasum over ring", func(c *Config) { c.Strategy = collective.StrategyRing }, "ReduceSum combiner"},
+		{"adasum over linear", func(c *Config) { c.Strategy = collective.StrategyLinear }, "ReduceSum combiner"},
 		{"sum over rvh", func(c *Config) {
 			c.Reduction = ReduceSum
 			c.Strategy = collective.StrategyRVH
 		}, "StrategyRing"},
 	}
 	for _, tc := range cases {
-		cfg := overlapCfg(4, CommCluster, true)
+		cfg := overlapCfg(4, true)
 		tc.mut(&cfg)
 		err := cfg.Validate()
 		if err == nil {
